@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DimensionError, InvalidInputError
 from .linalg import as_square_matrix, min_eigenvalue_hermitian
-from .mub import MubFamily, WeylBasis, commuting_classes, dephase_all, mub_family, weyl_basis
+from .mub import MubFamily, WeylBasis, commuting_classes, mub_family, spectral_apply, weyl_basis
 
 #: slack used for the stored CP flag (absorbs float noise at the CP boundary)
 CP_FLAG_TOL = 1e-12
@@ -89,12 +89,19 @@ class CpCheck:
     upper_margin: float
 
 
+def cp_margins(lam) -> tuple:
+    """The two eigenvalue CP bounds (lower, upper) for eigenvalues stacked on axis 0.
+
+    ``lam`` has shape (d+1, ...); each margin has the trailing shape.
+    """
+    lam = np.asarray(lam, dtype=float)
+    d = lam.shape[0] - 1
+    total = lam.sum(axis=0)
+    return total + 1.0 / (d - 1), 1.0 + d * lam.min(axis=0) - total
+
+
 def cp_check_from_eigenvalues(lam, tol: float = CP_FLAG_TOL) -> CpCheck:
-    arr = np.asarray(lam, dtype=float)
-    d = arr.shape[0] - 1
-    total = float(arr.sum())
-    lower = total + 1.0 / (d - 1)
-    upper = 1.0 + d * float(arr.min()) - total
+    lower, upper = (float(m) for m in cp_margins(lam))
     margin = min(lower, upper)
     return CpCheck(is_cp=margin >= -tol, margin=margin, lower_margin=lower, upper_margin=upper)
 
@@ -182,14 +189,9 @@ def is_cp_fujiwara(ch: GenPauliChannel, tol: float = CP_FLAG_TOL) -> CpCheck:
 def apply(ch: GenPauliChannel, rho) -> np.ndarray:
     """Act on a d x d operator.  Linear, trace-preserving, unital for any real p."""
     arr = as_square_matrix(rho)
-    d = ch.dim
-    if arr.shape[0] != d:
-        raise DimensionError(f"state has dimension {arr.shape[0]}, channel acts on {d}")
-    p = ch.probabilities
-    pinched = dephase_all(ch.family, arr)
-    # p0*rho + sum_a p_a/(d-1) * (d*pinch_a - rho)
-    coeff_id = p[0] - p[1:].sum() / (d - 1)
-    return coeff_id * arr + (d / (d - 1)) * np.einsum("a,amn->mn", p[1:], pinched)
+    if arr.shape[0] != ch.dim:
+        raise DimensionError(f"state has dimension {arr.shape[0]}, channel acts on {ch.dim}")
+    return spectral_apply(ch.family, ch.lambdas, arr)
 
 
 def kraus_operators(ch: GenPauliChannel) -> tuple:

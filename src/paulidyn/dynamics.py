@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import GenPauliChannel, channel_from_eigenvalues
+from .channel import GenPauliChannel, channel_from_eigenvalues, cp_margins
 from .errors import (
     DimensionError,
     InternalConsistencyError,
@@ -38,7 +38,7 @@ from .errors import (
     QuadratureError,
 )
 from .linalg import as_square_matrix, random_density_matrix, random_pure_state, trace_norm
-from .mub import MubFamily, dephase_all, mub_family
+from .mub import MubFamily, axis_blocks, mub_family, spectral_apply
 from .ratefn import RateSet, evaluate, integrate
 
 #: slack for inequality checks (separates float noise from violations)
@@ -47,6 +47,9 @@ TOL_CONDITION = 1e-12
 TOL_WITNESS_EIG = 1e-9
 #: a trace-norm witness must grow the norm by this relative amount
 TOL_WITNESS_NORM = 1e-9
+#: a BLP rise must also exceed this many ulps of d * (initial trace distance);
+#: the evolved distance carries rounding error of that size once it has decayed
+BLP_ROUNDING_FLOOR = 64
 
 HOLDS = "holds"
 VIOLATED = "violated"
@@ -155,32 +158,26 @@ def intermediate_map(traj: Trajectory, i: int, j: int) -> IntermediateMap:
 
 
 def generator_apply(rates: RateSet, family: MubFamily, t: float, rho) -> np.ndarray:
-    """The time-local generator: sum_alpha gamma_alpha(t) (dephase_alpha - id)."""
+    """The time-local generator sum_alpha gamma_alpha(t) (dephase_alpha - id).
+
+    In eigenvalue form it scales axis alpha by mu_alpha = gamma_alpha - sum(gamma)
+    and annihilates the identity part.
+    """
     arr = as_square_matrix(rho)
     if arr.shape[0] != family.dim:
         raise DimensionError(f"state has dimension {arr.shape[0]}, family is {family.dim}")
     if rates.dim != family.dim:
         raise DimensionError(f"rate set is d={rates.dim}, family is d={family.dim}")
     g = np.array([evaluate(r, t) for r in rates.rates])
-    pinched = dephase_all(family, arr)
-    return np.einsum("a,amn->mn", g, pinched) - g.sum() * arr
+    return np.tensordot(g - g.sum(), axis_blocks(family, arr), axes=1)
 
 
 def evolve_operator(traj: Trajectory, family: MubFamily, x) -> np.ndarray:
-    """Apply the map at every grid time to one operator; returns (N+1, d, d).
-
-    Uses the spectral form: split x into its identity part and the d+1 basis
-    blocks (each obtained from a single dephasing), then scale each block by
-    its eigenvalue trajectory.
-    """
+    """Apply the map at every grid time to one operator; returns (N+1, d, d)."""
     arr = as_square_matrix(x)
-    d = family.dim
-    if arr.shape[0] != d or traj.dim != d:
+    if arr.shape[0] != family.dim or traj.dim != family.dim:
         raise DimensionError("operator, trajectory and family dimensions must agree")
-    x0 = np.trace(arr) / d
-    eye = np.eye(d)
-    blocks = dephase_all(family, arr) - x0 * eye
-    return x0 * eye + np.einsum("ai,amn->imn", traj.lambdas, blocks)
+    return spectral_apply(family, traj.lambdas.T, arr)
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +254,33 @@ def _verdict_from_margins(criterion, grid, margins, labels, tol=TOL_CONDITION, n
     )
 
 
+def _conditional_verdict(criterion, grid, values, applicable, label, na_reason) -> Verdict:
+    """Verdict on a sufficient condition that only applies at some grid times.
+
+    ``values`` is the condition margin per grid time and ``label(i)`` names a
+    violation at index i.  Times where the condition does not apply never
+    count as violations; if there are any, the note says how many and why.
+    """
+    series = np.where(applicable, values, np.nan)
+    bad = np.flatnonzero(applicable & (values < -TOL_CONDITION))
+    entries = tuple(
+        Violation(float(grid[i]), label(i), float(values[i]))
+        for i in bad[:_MAX_VIOLATION_RECORDS]
+    )
+    n_na = int((~applicable).sum())
+    note = f"not applicable at {n_na} of {len(grid)} grid times ({na_reason})" if n_na else ""
+    if entries:
+        status, first_time = VIOLATED, entries[0].time
+        margin = float(np.nanmin(series))
+    elif n_na:
+        status, first_time = NOT_APPLICABLE, None
+        margin = float(np.nanmin(series)) if applicable.any() else math.nan
+    else:
+        status, first_time = HOLDS, None
+        margin = float(values.min())
+    return Verdict(criterion, status, margin, first_time, entries, note, series)
+
+
 # ---------------------------------------------------------------------------
 # Grid condition checks
 # ---------------------------------------------------------------------------
@@ -268,13 +292,8 @@ def check_cptp_trajectory(traj: Trajectory) -> Verdict:
     Checks the two eigenvalue bounds on lambda(t); since every lambda is a
     positive exponential this is the exp(G) form of the same inequality.
     """
-    lam = traj.lambdas
-    d = traj.dim
-    total = lam.sum(axis=0)
-    lower = total + 1.0 / (d - 1)
-    upper = 1.0 + d * lam.min(axis=0) - total
     return _verdict_from_margins(
-        "cp_map_valid", traj.grid, np.vstack([lower, upper]),
+        "cp_map_valid", traj.grid, np.vstack(cp_margins(traj.lambdas)),
         ["eigenvalue-sum lower bound", "eigenvalue-sum upper bound"],
     )
 
@@ -285,11 +304,19 @@ def check_cp_divisible(traj: Trajectory) -> Verdict:
     return _verdict_from_margins("cp_divisible", traj.grid, traj.gammas, labels)
 
 
+def _axis_mu_verdict(criterion: str, traj: Trajectory, label) -> Verdict:
+    """Verdict on the per-axis margins -mu_alpha = sum(gamma) - gamma_alpha.
+
+    ``label(a)`` names row a; the necessary P condition and the analytic
+    Frobenius monotonicity are both this table.
+    """
+    labels = [label(a + 1) for a in range(traj.dim + 1)]
+    return _verdict_from_margins(criterion, traj.grid, -traj.mus, labels)
+
+
 def check_p_necessary(traj: Trajectory) -> Verdict:
     """Necessary for P-divisibility: sum of the other d rates >= 0, per axis."""
-    margins = -traj.mus  # = sum(gamma) - gamma_alpha
-    labels = [f"sum of rates except gamma_{a + 1}" for a in range(traj.dim + 1)]
-    return _verdict_from_margins("p_necessary", traj.grid, margins, labels)
+    return _axis_mu_verdict("p_necessary", traj, lambda a: f"sum of rates except gamma_{a}")
 
 
 def _pairwise_margin_columns(gammas: np.ndarray, d: int):
@@ -315,37 +342,12 @@ def check_p_sufficient(traj: Trajectory) -> Verdict:
     """
     d = traj.dim
     g = traj.gammas
-    grid = traj.grid
-    neg_counts = (g < -TOL_CONDITION).sum(axis=0)
-    applicable = neg_counts <= 1
     values, b_idx, a_idx = _pairwise_margin_columns(g, d)
-
-    series = np.where(applicable, values, np.nan)
-    entries = []
-    bad = np.flatnonzero(applicable & (values < -TOL_CONDITION))
-    for i in bad[:_MAX_VIOLATION_RECORDS]:
-        entries.append(Violation(
-            float(grid[i]),
-            f"gamma_{a_idx[i] + 1} + {d - 1}*gamma_{b_idx[i] + 1}",
-            float(values[i]),
-        ))
-    n_na = int((~applicable).sum())
-    note = ""
-    if n_na:
-        note = f"not applicable at {n_na} of {grid.shape[0]} grid times (more than one negative rate)"
-    if entries:
-        status = VIOLATED
-        first_time = entries[0].time
-        margin = float(np.nanmin(series))
-    elif n_na:
-        status = NOT_APPLICABLE
-        first_time = None
-        margin = float(np.nanmin(series)) if applicable.any() else math.nan
-    else:
-        status = HOLDS
-        first_time = None
-        margin = float(values.min())
-    return Verdict("p_sufficient", status, margin, first_time, tuple(entries), note, series)
+    return _conditional_verdict(
+        "p_sufficient", traj.grid, values, (g < -TOL_CONDITION).sum(axis=0) <= 1,
+        lambda i: f"gamma_{a_idx[i] + 1} + {d - 1}*gamma_{b_idx[i] + 1}",
+        "more than one negative rate",
+    )
 
 
 def weyl_rates_from_trajectory(traj: Trajectory) -> np.ndarray:
@@ -369,33 +371,11 @@ def check_weyl_sufficient(weyl_gammas: np.ndarray, grid: np.ndarray, d: int) -> 
         raise InvalidInputError(f"need {d * d - 1} Weyl rates for d={d}, got {wg.shape[0]}")
     if wg.shape[1] != np.asarray(grid).shape[0]:
         raise InvalidInputError("Weyl rate columns must match the grid length")
-    neg_counts = (wg < -TOL_CONDITION).sum(axis=0)
-    applicable = neg_counts <= d - 1
-    smallest = np.sort(wg, axis=0)[:d]
-    values = smallest.sum(axis=0)
-
-    series = np.where(applicable, values, np.nan)
-    entries = []
-    bad = np.flatnonzero(applicable & (values < -TOL_CONDITION))
-    for i in bad[:_MAX_VIOLATION_RECORDS]:
-        entries.append(Violation(float(grid[i]), f"sum of {d} smallest Weyl rates", float(values[i])))
-    n_na = int((~applicable).sum())
-    note = ""
-    if n_na:
-        note = (
-            f"not applicable at {n_na} of {len(grid)} grid times "
-            f"(more than {d - 1} negative Weyl rates)"
-        )
-    if entries:
-        status, first_time = VIOLATED, entries[0].time
-        margin = float(np.nanmin(series))
-    elif n_na:
-        status, first_time = NOT_APPLICABLE, None
-        margin = float(np.nanmin(series)) if applicable.any() else math.nan
-    else:
-        status, first_time = HOLDS, None
-        margin = float(values.min())
-    return Verdict("weyl_sufficient", status, margin, first_time, tuple(entries), note, series)
+    return _conditional_verdict(
+        "weyl_sufficient", grid, np.sort(wg, axis=0)[:d].sum(axis=0),
+        (wg < -TOL_CONDITION).sum(axis=0) <= d - 1,
+        lambda i: f"sum of {d} smallest Weyl rates", f"more than {d - 1} negative Weyl rates",
+    )
 
 
 def check_frobenius_monotone(traj: Trajectory, family: MubFamily | None = None,
@@ -408,9 +388,9 @@ def check_frobenius_monotone(traj: Trajectory, family: MubFamily | None = None,
     are also pushed through the grid as a numerical cross-check; a sampled
     increase while the analytic check holds is an internal error.
     """
-    margins = -traj.mus
-    labels = [f"-d/dt lambda_{a + 1}^2 (sign of -mu_{a + 1})" for a in range(traj.dim + 1)]
-    verdict = _verdict_from_margins("frobenius_monotone", traj.grid, margins, labels)
+    verdict = _axis_mu_verdict(
+        "frobenius_monotone", traj, lambda a: f"-d/dt lambda_{a}^2 (sign of -mu_{a})"
+    )
     if family is None or samples <= 0:
         return verdict
     rng = np.random.default_rng(seed)
@@ -475,34 +455,14 @@ class Witness:
         return out
 
 
-def _nu_probabilities(lam: np.ndarray, i_idx, j_idx, d: int) -> np.ndarray:
-    """Quasi-probability vectors of the intermediate maps for index pairs."""
-    nus = lam[:, j_idx] / lam[:, i_idx]  # (d+1, P)
-    total = nus.sum(axis=0)
-    q = np.empty((d + 2, nus.shape[1]))
-    q[0] = (1.0 + (d - 1) * total) / d**2
-    q[1:] = (d - 1) / d**2 * (1.0 + d * nus - total)
-    return q
-
-
-def _state_response(family: MubFamily, psi: np.ndarray) -> np.ndarray:
-    """Stack (P, (d*pinch_a - P)/(d-1)) so any intermediate map is a q-weighted sum."""
-    d = family.dim
-    proj = np.outer(psi, psi.conj())
-    pinched = dephase_all(family, proj)
-    resp = np.empty((d + 2, d, d), dtype=complex)
-    resp[0] = proj
-    resp[1:] = (d * pinched - proj) / (d - 1)
-    return resp
-
-
-def _min_eig_for_pairs(q_cols: np.ndarray, responses: np.ndarray) -> np.ndarray:
+def _min_eig_for_pairs(family: MubFamily, nus: np.ndarray, states: np.ndarray) -> np.ndarray:
     """Smallest output eigenvalue for each (state, pair) combination.
 
-    q_cols: (d+2, P) quasi-probabilities; responses: (S, d+2, d, d).
+    nus: (P, d+1) intermediate-map eigenvalues; states: (S, d) unit vectors.
     Returns (S, P).
     """
-    mats = np.einsum("cp,scmn->spmn", q_cols, responses)
+    projs = states[:, :, None] * states[:, None, :].conj()
+    mats = spectral_apply(family, nus, projs)
     mats = 0.5 * (mats + np.conj(np.swapaxes(mats, -1, -2)))
     return np.linalg.eigvalsh(mats)[..., 0]
 
@@ -568,35 +528,28 @@ def find_p_divisibility_witness(traj: Trajectory, family: MubFamily,
     rng = np.random.default_rng(seed)
     n = traj.steps
     anchors = np.unique(np.round(np.linspace(0, n, min(max_anchors, n + 1))).astype(int))
-    pair_i, pair_j = [], []
-    for ii, gi in enumerate(anchors):
-        for gj in anchors[ii + 1:]:
-            pair_i.append(gi)
-            pair_j.append(gj)
-    pair_i = np.array(pair_i)
-    pair_j = np.array(pair_j)
-    q_cols = _nu_probabilities(lam, pair_i, pair_j, d)
+    upper_i, upper_j = np.triu_indices(anchors.size, k=1)  # every anchor pair i < j
+    pair_i, pair_j = anchors[upper_i], anchors[upper_j]
+    nus = (lam[:, pair_j] / lam[:, pair_i]).T  # (P, d+1)
 
     n_probe = min(8, attempts)
-    states = [random_pure_state(d, rng) for _ in range(n_probe)]
-    responses = np.stack([_state_response(family, psi) for psi in states])
-    eigs = _min_eig_for_pairs(q_cols, responses)  # (S, P)
+    states = np.stack([random_pure_state(d, rng) for _ in range(n_probe)])
+    eigs = _min_eig_for_pairs(family, nus, states)  # (S, P)
     best_state_idx, best_pair = np.unravel_index(int(np.argmin(eigs)), eigs.shape)
     best_eig = float(eigs[best_state_idx, best_pair])
     best_psi = states[best_state_idx]
 
     pair_rank = np.argsort(eigs.min(axis=0))
     top_pairs = pair_rank[: min(12, pair_rank.size)]
-    q_top = q_cols[:, top_pairs]
+    nus_top = nus[top_pairs]
 
     remaining = attempts - n_probe
     chunk = 256
     while remaining > 0:
         take = min(chunk, remaining)
         remaining -= take
-        states = [random_pure_state(d, rng) for _ in range(take)]
-        responses = np.stack([_state_response(family, psi) for psi in states])
-        eigs = _min_eig_for_pairs(q_top, responses)
+        states = np.stack([random_pure_state(d, rng) for _ in range(take)])
+        eigs = _min_eig_for_pairs(family, nus_top, states)
         s_idx, p_idx = np.unravel_index(int(np.argmin(eigs)), eigs.shape)
         if float(eigs[s_idx, p_idx]) < best_eig:
             best_eig = float(eigs[s_idx, p_idx])
@@ -604,15 +557,14 @@ def find_p_divisibility_witness(traj: Trajectory, family: MubFamily,
             best_pair = int(top_pairs[p_idx])
 
     # Coordinate polish of the best candidate state on its pair.
-    q_best = q_cols[:, [best_pair]]
+    nus_best = nus[[best_pair]]
 
     def eig_of(params: np.ndarray) -> float:
         psi = params[:d] + 1j * params[d:]
         norm = np.linalg.norm(psi)
         if norm < 1e-12:
             return np.inf
-        resp = _state_response(family, psi / norm)
-        return float(_min_eig_for_pairs(q_best, resp[None, ...])[0, 0])
+        return float(_min_eig_for_pairs(family, nus_best, (psi / norm)[None])[0, 0])
 
     params = np.concatenate([best_psi.real, best_psi.imag])
     step = 0.3
@@ -636,8 +588,7 @@ def find_p_divisibility_witness(traj: Trajectory, family: MubFamily,
     best_psi = psi / np.linalg.norm(psi)
 
     # The refined state may do even better on a different pair.
-    resp = _state_response(family, best_psi)
-    eigs_all = _min_eig_for_pairs(q_cols, resp[None, ...])[0]
+    eigs_all = _min_eig_for_pairs(family, nus, best_psi[None])[0]
     final_pair = int(np.argmin(eigs_all))
 
     gi, gj = int(pair_i[final_pair]), int(pair_j[final_pair])
@@ -660,7 +611,9 @@ def check_blp(traj: Trajectory, family: MubFamily, pairs=20, seed: int = 42) -> 
 
     ``pairs`` is either a count of sampled density-matrix pairs or an explicit
     list of (rho1, rho2) tuples.  Returns the largest relative increase found
-    between consecutive grid times, or None.
+    between consecutive grid times, or None.  A rise counts only when it
+    exceeds ``BLP_ROUNDING_FLOOR`` ulps of d times the initial distance, so a
+    distance that has decayed into rounding noise cannot fake back-flow.
     """
     d = traj.dim
     if isinstance(pairs, int):
@@ -681,7 +634,9 @@ def check_blp(traj: Trajectory, family: MubFamily, pairs=20, seed: int = 42) -> 
         orbit = evolve_operator(traj, family, delta)
         orbit = 0.5 * (orbit + np.conj(np.swapaxes(orbit, -1, -2)))
         dists = np.abs(np.linalg.eigvalsh(orbit)).sum(axis=1)
-        rel = np.diff(dists) / np.maximum(dists[:-1], 1e-300)
+        rise = np.diff(dists)
+        floor = BLP_ROUNDING_FLOOR * np.finfo(float).eps * d * dists[0]
+        rel = np.where(rise > floor, rise / np.maximum(dists[:-1], 1e-300), 0.0)
         idx = int(np.argmax(rel))
         if rel[idx] > TOL_WITNESS_NORM and (best is None or rel[idx] > best.magnitude):
             best = Witness(

@@ -4,7 +4,9 @@ For prime ``d`` the ``d**2 - 1`` nontrivial Weyl operators split into ``d + 1``
 classes of ``d - 1`` mutually commuting unitaries; the common eigenbases of the
 classes form a complete family of ``d + 1`` mutually unbiased bases.  Each
 basis carries a full-dephasing channel (projector pinching) and a mixing map
-built from the powers of one unitary with spectrum ``{omega**l}``.
+built from the powers of one unitary with spectrum ``{omega**l}``.  The
+spectral kernel (:func:`axis_blocks`, :func:`spectral_apply`) applies any map
+that is diagonal on the d+1 basis axes.
 """
 
 from __future__ import annotations
@@ -228,16 +230,52 @@ def unitary_mixing_map(family: MubFamily, alpha: int) -> KrausMap:
 
 
 def dephase_all(family: MubFamily, rho) -> np.ndarray:
-    """Apply every basis dephasing at once; returns shape (d+1, d, d).
-
-    Used on the hot path of channel application: for each basis the pinching
-    is a change of basis, a diagonal extraction, and the reverse rebuild.
-    """
+    """Apply every basis dephasing at once; returns shape (d+1, d, d)."""
     arr = as_square_matrix(rho)
     if arr.shape[0] != family.dim:
         raise DimensionError(f"state has dimension {arr.shape[0]}, family is {family.dim}")
-    diag = np.einsum("alm,mn,aln->al", family.bases.conj(), arr, family.bases)
-    return np.einsum("al,alm,aln->amn", diag, family.bases, family.bases.conj())
+    return axis_blocks(family, arr) + np.trace(arr) / family.dim * np.eye(family.dim)
+
+
+# ---------------------------------------------------------------------------
+# The spectral kernel: every generalized Pauli action is diagonal on the axes
+# ---------------------------------------------------------------------------
+
+
+def axis_blocks(family: MubFamily, x: np.ndarray) -> np.ndarray:
+    """Components B_alpha(x) = dephase_alpha(x) - x0*I of x on the d+1 basis axes.
+
+    ``x`` has shape (..., d, d); the result has shape (..., d+1, d, d) and
+    x = x0*I + sum_alpha B_alpha(x) with x0 = Tr(x)/d.  Each dephasing is a
+    change of basis, a diagonal extraction and the reverse rebuild, batched
+    over the bases.  No validation: callers check their inputs.
+    """
+    bases = family.bases
+    x0 = np.trace(x, axis1=-2, axis2=-1) / family.dim
+    rotated = bases.conj() @ x[..., None, :, :]  # rows <b_al| x
+    diag = (rotated * bases).sum(axis=-1)
+    blocks = (np.swapaxes(bases, -1, -2) * diag[..., None, :]) @ bases.conj()
+    r = np.arange(family.dim)
+    blocks[..., r, r] -= x0[..., None, None]
+    return blocks
+
+
+def spectral_apply(family: MubFamily, eig: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The Pauli-diagonal map x -> x0*I + sum_alpha eig_alpha * B_alpha(x).
+
+    ``eig`` holds the d+1 axis eigenvalues, shape (d+1,) or (P, d+1);
+    ``x`` has shape (..., d, d).  The result has shape x-stack + eig-stack +
+    (d, d): one GEMM over the axes per operator.  No validation.
+    """
+    d = family.dim
+    eig = np.asarray(eig)
+    blocks = axis_blocks(family, x)
+    stack = blocks.shape[:-3]
+    out = (eig @ blocks.reshape(stack + (d + 1, d * d))).reshape(stack + eig.shape[:-1] + (d, d))
+    x0 = np.trace(x, axis1=-2, axis2=-1) / d
+    r = np.arange(d)
+    out[..., r, r] += x0.reshape(stack + (1,) * (eig.ndim - 1) + (1,))
+    return out
 
 
 def unbiasedness_table(family: MubFamily) -> list:

@@ -421,6 +421,23 @@ class TestBlp:
         assert w is not None and w.kind == "blp"
         assert w.magnitude > 1e-9
 
+    def test_no_backflow_from_rounding_noise_d3(self, family3):
+        # the trace distance decays to ~1e-16; rounding there once read as a rise
+        rates = preset_rates("semigroup", d=3, constants=(
+            1.409613800524794, 0.35161056422774417, 1.9559291899923894, -0.4084119370510235,
+        ))
+        traj = build_trajectory(rates, t_max=10.0, steps=2000)
+        pair = (family3.projector(4, 0), family3.projector(4, 1))
+        assert check_blp(traj, family3, pairs=[pair]) is None
+
+    def test_no_backflow_from_rounding_noise_d11(self):
+        from paulidyn.mub import mub_family
+
+        family = mub_family(11)
+        traj = build_trajectory(preset_rates("avg-decoherence", d=11), t_max=5.0, steps=400)
+        pair = (family.projector(12, 0), family.projector(12, 1))
+        assert check_blp(traj, family, pairs=[pair]) is None
+
     def test_explicit_pairs(self, family2):
         traj = build_trajectory(preset_rates("eternal-qubit"), t_max=2.0, steps=40)
         pair = (family2.projector(1, 0), family2.projector(1, 1))

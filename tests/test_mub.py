@@ -6,12 +6,15 @@ from paulidyn.errors import (
     InvalidInputError,
     UnsupportedDimensionError,
 )
-from paulidyn.linalg import matrices_close, random_density_matrix
+from paulidyn.channel import probabilities_from_eigenvalues
+from paulidyn.linalg import matrices_close, random_complex_matrix, random_density_matrix
 from paulidyn.mub import (
+    axis_blocks,
     commuting_classes,
     decoherence_channel,
     is_prime,
     mub_family,
+    spectral_apply,
     unbiasedness_table,
     unitary_mixing_map,
     weyl_basis,
@@ -291,3 +294,33 @@ class TestUnitaryMixingMap:
             for _ in range(5):
                 rho = random_density_matrix(3, rng)
                 assert matrices_close(m(rho), 3 * phi(rho) - rho)
+
+
+class TestSpectralKernel:
+    @pytest.mark.parametrize("d", [2, 3, 5, 7])
+    def test_matches_unitary_mixing_reference_on_stacks(self, d, rng):
+        # S operators x P eigenvalue rows, quasi-probabilities included
+        fam = mub_family(d)
+        xs = np.stack([random_density_matrix(d, rng) for _ in range(3)]
+                      + [random_complex_matrix(d, rng)])
+        eig = rng.uniform(-1.5, 1.5, size=(5, d + 1))
+        probs = [probabilities_from_eigenvalues(row) for row in eig]
+        assert min(p.min() for p in probs) < 0.0
+        mixing = [unitary_mixing_map(fam, a) for a in range(1, d + 2)]
+        out = spectral_apply(fam, eig, xs)
+        assert out.shape == (4, 5, d, d)
+        for s, x in enumerate(xs):
+            for k, p in enumerate(probs):
+                ref = p[0] * x + sum(p[a] / (d - 1) * mixing[a - 1](x) for a in range(1, d + 2))
+                assert np.abs(out[s, k] - ref).max() <= 1e-12
+                assert np.abs(spectral_apply(fam, eig[k], x) - ref).max() <= 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 7])
+    def test_axis_blocks_reconstruct(self, d, rng):
+        fam = mub_family(d)
+        xs = np.stack([random_complex_matrix(d, rng) for _ in range(3)])
+        blocks = axis_blocks(fam, xs)
+        assert blocks.shape == (3, d + 1, d, d)
+        x0 = np.trace(xs, axis1=-2, axis2=-1) / d
+        rebuilt = x0[:, None, None] * np.eye(d) + blocks.sum(axis=1)
+        assert np.abs(rebuilt - xs).max() <= 1e-12
