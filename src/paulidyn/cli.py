@@ -38,6 +38,18 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
 
+def _bind_dash_values(argv) -> list:
+    """Join ``--gamma -tanh(t)`` into ``--gamma=-tanh(t)`` (likewise --c, --lambdas
+    and --probs), so that argparse does not take a value starting with - for an option."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in ("--gamma", "--c", "--lambdas", "--probs") and arg[:1] == "-":
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def _float_list(text: str, name: str) -> list:
     try:
         return [float(x) for x in text.split(",")]
@@ -207,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_bind_dash_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help; pass both through
         return int(exc.code or 0)

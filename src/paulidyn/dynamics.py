@@ -39,7 +39,7 @@ from .errors import (
 )
 from .linalg import as_square_matrix, random_density_matrix, random_pure_state, trace_norm
 from .mub import MubFamily, axis_blocks, mub_family, spectral_apply
-from .ratefn import RateSet, evaluate, integrate
+from .ratefn import RateSet, evaluate, running_integral
 
 #: slack for inequality checks (separates float noise from violations)
 TOL_CONDITION = 1e-12
@@ -78,6 +78,11 @@ class Trajectory:
         return self.grid.shape[0] - 1
 
     @property
+    def log_lambdas(self) -> np.ndarray:
+        """log lambda_alpha = G_alpha - G, finite where lambda underflows to 0."""
+        return self.big_gammas - self.big_gammas.sum(axis=0)
+
+    @property
     def mus(self) -> np.ndarray:
         """Generator eigenvalues gamma_alpha - sum(gamma)."""
         return self.gammas - self.gammas.sum(axis=0)
@@ -92,8 +97,9 @@ def build_trajectory(rates: RateSet, t_max: float, steps: int = 400,
                      tol: float = 1e-10) -> Trajectory:
     """Integrate the rate set cumulatively over a uniform grid on [0, t_max].
 
-    Each subinterval is integrated by adaptive Simpson with a per-subinterval
-    tolerance of ``tol / steps`` so the accumulated error stays below ``tol``.
+    Per rate, one array call samples it on the grid and integrates every
+    subinterval to ``tol / steps`` in one adaptive-Simpson pass, so the
+    accumulated error stays below ``tol``.
     """
     if not (math.isfinite(t_max) and t_max > 0):
         raise InvalidInputError(f"t_max must be positive and finite, got {t_max!r}")
@@ -102,23 +108,15 @@ def build_trajectory(rates: RateSet, t_max: float, steps: int = 400,
     d = rates.dim
     grid = np.linspace(0.0, float(t_max), steps + 1)
     gammas = np.empty((d + 1, steps + 1))
-    big = np.zeros((d + 1, steps + 1))
-    sub_tol = tol / steps
+    big = np.empty((d + 1, steps + 1))
     for a, expr in enumerate(rates.rates):
-        for i, t in enumerate(grid):
-            gammas[a, i] = evaluate(expr, t)
-        for i in range(steps):
-            try:
-                piece = integrate(expr, grid[i], grid[i + 1], tol=sub_tol)
-            except QuadratureError as exc:
-                raise QuadratureError(
-                    f"rate gamma_{a + 1} failed on [{grid[i]!r}, {grid[i + 1]!r}]: {exc}"
-                ) from exc
-            big[a, i + 1] = big[a, i] + piece
-    lambdas = np.exp(big - big.sum(axis=0))
+        try:
+            gammas[a], big[a] = running_integral(expr, grid, tol / steps)
+        except QuadratureError as exc:
+            raise QuadratureError(f"rate gamma_{a + 1} failed: {exc}") from exc
     return Trajectory(
         dim=d, grid=_freeze(grid), gammas=_freeze(gammas),
-        big_gammas=_freeze(big), lambdas=_freeze(lambdas),
+        big_gammas=_freeze(big), lambdas=_freeze(np.exp(big - big.sum(axis=0))),
     )
 
 
@@ -147,7 +145,7 @@ class IntermediateMap:
 def intermediate_map(traj: Trajectory, i: int, j: int) -> IntermediateMap:
     if not 0 <= i <= j <= traj.steps:
         raise InvalidInputError(f"need 0 <= i <= j <= {traj.steps}, got ({i}, {j})")
-    nus = traj.lambdas[:, j] / traj.lambdas[:, i]
+    nus = np.exp(traj.log_lambdas[:, j] - traj.log_lambdas[:, i])
     return IntermediateMap(dim=traj.dim, s=float(traj.grid[i]), t=float(traj.grid[j]),
                            nus=_freeze(nus))
 
@@ -471,15 +469,14 @@ def _axis_scan(traj: Trajectory):
     """Largest eigenvalue ratio nu_alpha(t, s) > 1 over all grid pairs, per axis.
 
     A ratio above 1 certifies a trace-norm increase on the Hermitian axis
-    operator U_alpha + U_alpha^dag.  O(N) per axis via the running minimum.
+    operator U_alpha + U_alpha^dag.  O(N) per axis via the running min of log lambda.
     """
-    lam = traj.lambdas
-    runmin = np.minimum.accumulate(lam, axis=1)
-    ratios = lam[:, 1:] / runmin[:, :-1]
-    a, rel_j = np.unravel_index(int(np.argmax(ratios)), ratios.shape)
+    log_lam = traj.log_lambdas
+    log_ratios = log_lam[:, 1:] - np.minimum.accumulate(log_lam, axis=1)[:, :-1]
+    a, rel_j = np.unravel_index(int(np.argmax(log_ratios)), log_ratios.shape)
     j = rel_j + 1
-    i = int(np.argmin(lam[a, :j]))
-    return float(ratios[a, rel_j]), int(a), i, int(j)
+    i = int(np.argmin(log_lam[a, :j]))
+    return float(np.exp(log_ratios[a, rel_j])), int(a), i, int(j)
 
 
 def find_p_divisibility_witness(traj: Trajectory, family: MubFamily,
@@ -501,7 +498,6 @@ def find_p_divisibility_witness(traj: Trajectory, family: MubFamily,
     d = traj.dim
     if family.dim != d:
         raise DimensionError(f"family is d={family.dim}, trajectory is d={d}")
-    lam = traj.lambdas
     witnesses = []
 
     # Route 1: closed-form scan for rising eigenvalue trajectories.
@@ -530,7 +526,8 @@ def find_p_divisibility_witness(traj: Trajectory, family: MubFamily,
     anchors = np.unique(np.round(np.linspace(0, n, min(max_anchors, n + 1))).astype(int))
     upper_i, upper_j = np.triu_indices(anchors.size, k=1)  # every anchor pair i < j
     pair_i, pair_j = anchors[upper_i], anchors[upper_j]
-    nus = (lam[:, pair_j] / lam[:, pair_i]).T  # (P, d+1)
+    log_lam = traj.log_lambdas
+    nus = np.exp(log_lam[:, pair_j] - log_lam[:, pair_i]).T  # (P, d+1)
 
     n_probe = min(8, attempts)
     states = np.stack([random_pure_state(d, rng) for _ in range(n_probe)])

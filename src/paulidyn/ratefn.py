@@ -25,6 +25,8 @@ import math
 import re
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import EvaluationError, InvalidInputError, ParseError, QuadratureError
 
 # ---------------------------------------------------------------------------
@@ -60,11 +62,10 @@ class Call:
     args: tuple
 
 
-_UNARY_FUNCS = {
-    "tanh": math.tanh,
-    "exp": math.exp,
-    "cosh": math.cosh,
-    "sinh": math.sinh,
+_FUNCS = {
+    "tanh": np.tanh, "exp": np.exp, "cosh": np.cosh, "sinh": np.sinh, "ln": np.log,
+    "pow": np.power, "+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide,
+    "^": np.power,
 }
 _FUNC_ARITY = {"tanh": 1, "exp": 1, "ln": 1, "cosh": 1, "sinh": 1, "pow": 2}
 
@@ -86,12 +87,8 @@ def _tokenize(source: str) -> list:
                 break
             bad_at = len(source) - len(stripped)
             raise ParseError(f"unexpected character {source[bad_at]!r}", bad_at)
-        if m.group("num") is not None:
-            tokens.append(("num", m.group("num"), m.start("num")))
-        elif m.group("name") is not None:
-            tokens.append(("name", m.group("name"), m.start("name")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
+        kind = m.lastgroup  # the one alternative that matched: num, name or op
+        tokens.append((kind, m.group(kind), m.start(kind)))
         pos = m.end()
     tokens.append(("end", "", len(source)))
     return tokens
@@ -124,35 +121,24 @@ class _Parser:
             raise ParseError(f"unexpected {text!r} after expression", pos)
         return node
 
-    def expr(self):
-        node = self.term()
+    def binary(self, ops: str, operand):
+        """A left-associative chain of ``operand`` joined by the ``ops`` symbols."""
+        node = operand()
         while True:
             kind, text, _ = self.peek()
-            if kind == "op" and text in "+-":
-                self.take()
-                node = BinOp(text, node, self.term())
-            else:
+            if kind != "op" or text not in ops:
                 return node
+            self.take()
+            node = BinOp(text, node, operand())
+
+    def expr(self):
+        return self.binary("+-", self.term)
 
     def term(self):
-        node = self.factor()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "*/":
-                self.take()
-                node = BinOp(text, node, self.factor())
-            else:
-                return node
+        return self.binary("*/", self.factor)
 
     def factor(self):
-        node = self.unary()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text == "^":
-                self.take()
-                node = BinOp("^", node, self.unary())
-            else:
-                return node
+        return self.binary("^", self.unary)
 
     def unary(self):
         kind, text, _ = self.peek()
@@ -250,47 +236,39 @@ def parse(source: str) -> RateExpr:
     return RateExpr(source=source, root=_Parser(source).parse())
 
 
-def _eval_node(node, t: float) -> float:
-    if isinstance(node, Num):
-        return node.value
+def _require(ok: np.ndarray, t: np.ndarray, message):
+    """Raise EvaluationError at the earliest t where ``ok`` fails, via ``message(i)``."""
+    if not ok.all():
+        i = int(np.flatnonzero(~ok)[np.argmin(t[~ok])])
+        raise EvaluationError(f"{message(i)} at t={float(t[i])!r}")
+
+
+def _eval_node(node, t: np.ndarray) -> np.ndarray:
+    """Values of the subtree at every time of the 1-d array ``t``, in one walk.
+
+    After each node: ln of a value <= 0, division by zero and any non-finite
+    result (overflow, or e.g. a fractional power of a negative number) raise
+    :class:`EvaluationError` naming the earliest offending t.
+    """
     if isinstance(node, Var):
         return t
     if isinstance(node, Neg):
         return -_eval_node(node.operand, t)
-    if isinstance(node, Call):
-        args = [_eval_node(a, t) for a in node.args]
-        try:
-            if node.name == "ln":
-                if args[0] <= 0.0:
-                    raise EvaluationError(f"ln of nonpositive value {args[0]!r} at t={t!r}")
-                return math.log(args[0])
-            if node.name == "pow":
-                return math.pow(args[0], args[1])
-            return _UNARY_FUNCS[node.name](args[0])
-        except OverflowError as exc:
-            raise EvaluationError(f"overflow in {node.name} at t={t!r}") from exc
-        except ValueError as exc:
-            raise EvaluationError(f"domain error in {node.name} at t={t!r}: {exc}") from exc
-    if isinstance(node, BinOp):
-        a = _eval_node(node.left, t)
-        b = _eval_node(node.right, t)
-        try:
-            if node.op == "+":
-                return a + b
-            if node.op == "-":
-                return a - b
-            if node.op == "*":
-                return a * b
-            if node.op == "/":
-                if b == 0.0:
-                    raise EvaluationError(f"division by zero at t={t!r}")
-                return a / b
-            return math.pow(a, b)
-        except OverflowError as exc:
-            raise EvaluationError(f"overflow in {node.op!r} at t={t!r}") from exc
-        except ValueError as exc:
-            raise EvaluationError(f"domain error in {node.op!r} at t={t!r}: {exc}") from exc
-    raise TypeError(f"not an AST node: {node!r}")  # pragma: no cover
+    if isinstance(node, Num):
+        name, out = "constant", np.full(t.shape, node.value)
+    else:
+        name = node.name if isinstance(node, Call) else node.op
+        args = [_eval_node(a, t)
+                for a in (node.args if isinstance(node, Call) else (node.left, node.right))]
+        if name == "ln":
+            _require(args[0] > 0.0, t, lambda i: f"ln of nonpositive value {float(args[0][i])!r}")
+        elif name == "/":
+            _require(args[1] != 0.0, t, lambda i: "division by zero")
+        with np.errstate(all="ignore"):
+            out = _FUNCS[name](*args)
+    _require(np.isfinite(out), t,
+             lambda i: f"{'overflow' if np.isinf(out[i]) else 'domain error'} in {name}")
+    return out
 
 
 def evaluate(expr: RateExpr, t: float) -> float:
@@ -298,43 +276,14 @@ def evaluate(expr: RateExpr, t: float) -> float:
     violation or non-finite result."""
     if not math.isfinite(t):
         raise InvalidInputError(f"t must be finite, got {t!r}")
-    value = _eval_node(expr.root, float(t))
-    if not math.isfinite(value):
-        raise EvaluationError(f"non-finite value {value!r} at t={t!r}")
-    return value
-
-
-def _adaptive_simpson(f, a, fa, b, fb, whole, fm, tol, depth, budget):
-    m = 0.5 * (a + b)
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm = f(lm)
-    frm = f(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    delta = left + right - whole
-    if abs(delta) <= 15.0 * tol:
-        return left + right + delta / 15.0
-    if depth <= 0:
-        raise QuadratureError(
-            f"adaptive Simpson failed to converge on [{a!r}, {b!r}] (residual {abs(delta):.3e})"
-        )
-    budget[0] -= 1
-    if budget[0] <= 0:
-        raise QuadratureError(
-            f"adaptive Simpson exceeded its subdivision budget near [{a!r}, {b!r}]"
-        )
-    half_tol = 0.5 * tol
-    return _adaptive_simpson(
-        f, a, fa, m, fm, left, flm, half_tol, depth - 1, budget
-    ) + _adaptive_simpson(f, m, fm, b, fb, right, frm, half_tol, depth - 1, budget)
+    return float(_eval_node(expr.root, np.array([float(t)]))[0])
 
 
 def integrate(expr: RateExpr, t0: float, t1: float, tol: float = 1e-10) -> float:
     """Integral of the expression over [t0, t1] by adaptive Simpson bisection.
 
     The estimated absolute error is kept below ``tol``.  Raises
-    :class:`QuadratureError` when the recursion cannot reach the tolerance.
+    :class:`QuadratureError` when the bisection cannot reach the tolerance.
     """
     if not (math.isfinite(t0) and math.isfinite(t1)):
         raise InvalidInputError("integration limits must be finite")
@@ -342,17 +291,62 @@ def integrate(expr: RateExpr, t0: float, t1: float, tol: float = 1e-10) -> float
         raise InvalidInputError(f"t1 must be >= t0, got [{t0!r}, {t1!r}]")
     if t1 == t0:
         return 0.0
+    return float(running_integral(expr, np.array([float(t0), float(t1)]), tol)[1][1])
+
+
+def running_integral(expr: RateExpr, grid: np.ndarray, tol: float) -> tuple:
+    """(values, integral from grid[0]) of the rate on an increasing grid.
+
+    Every step is integrated to ``tol`` by adaptive Simpson, breadth-first over
+    all steps at once: each level evaluates the rate once on the quarter points
+    of every open interval, accepts those with |delta| <= 15 tol (adding
+    delta/15) and bisects the rest with tol halved.  As in the recursive rule,
+    a path may take 48 levels and a step 100k bisections.  Level values are
+    folded back in tree order, so each step sums as the recursion sums it.
+    """
     if tol <= 0.0:
         raise InvalidInputError("tol must be positive")
+    f = _eval_node(expr.root, grid)
+    a, b, fa, fb = grid[:-1], grid[1:], f[:-1], f[1:]
+    m = 0.5 * (a + b)
+    fm = _eval_node(expr.root, m)
+    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+    owner, spent, levels = np.arange(a.size), np.zeros(a.size, dtype=np.int64), []
+    for depth in range(49):
+        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
+        flm, frm = np.split(_eval_node(expr.root, np.concatenate((lm, rm))), 2)
+        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+        delta = left + right - whole
+        split = ~(np.abs(delta) <= 15.0 * tol)
+        levels.append((left + right + delta / 15.0, split))
+        if not split.any():
+            break
+        spent += np.bincount(owner[split], minlength=spent.size)
+        broke = split & (spent[owner] >= 100_000)
+        k = int(np.argmax(broke if broke.any() else split))
+        where = "[{!r}, {!r}] of [{!r}, {!r}]".format(
+            *map(float, (a[k], b[k], grid[owner[k]], grid[owner[k] + 1])))
+        if depth == 48:
+            raise QuadratureError(
+                f"adaptive Simpson failed to converge on {where} (residual {abs(delta[k]):.3e})"
+            )
+        # the open-interval cap ends a tolerance below rounding noise, which
+        # doubles every level, before it exhausts memory
+        if broke.any() or 2 * split.sum() > 1 << 18:
+            raise QuadratureError(f"adaptive Simpson exceeded its subdivision budget near {where}")
 
-    def f(u: float) -> float:
-        return evaluate(expr, u)
+        def halves(lo, hi):  # both children of every split interval, interleaved
+            return np.stack((lo[split], hi[split]), axis=1).ravel()
 
-    fa, fb = f(t0), f(t1)
-    fm = f(0.5 * (t0 + t1))
-    whole = (t1 - t0) / 6.0 * (fa + 4.0 * fm + fb)
-    # depth bounds a single singular path; the budget bounds the whole tree
-    return _adaptive_simpson(f, t0, fa, t1, fb, whole, fm, tol, depth=48, budget=[100_000])
+        a, b, m, fa, fb, fm, whole = (halves(a, m), halves(m, b), halves(lm, rm), halves(fa, fm),
+                                      halves(fm, fb), halves(flm, frm), halves(left, right))
+        owner, tol = np.repeat(owner[split], 2), 0.5 * tol
+    total = levels[-1][0]
+    for value, split in reversed(levels[:-1]):
+        value[split] = total[0::2] + total[1::2]
+        total = value
+    return f, np.cumsum(np.r_[0.0, total])
 
 
 # ---------------------------------------------------------------------------
@@ -376,10 +370,6 @@ def rate_set(dim: int, sources) -> RateSet:
     if len(exprs) != dim + 1:
         raise InvalidInputError(f"need {dim + 1} rate expressions for d={dim}, got {len(exprs)}")
     return RateSet(dim=dim, rates=exprs)
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 def preset_rates(name: str, d: int | None = None, constants=None) -> RateSet:
@@ -417,7 +407,7 @@ def preset_rates(name: str, d: int | None = None, constants=None) -> RateSet:
         if d is not None and d != dim:
             raise InvalidInputError(f"semigroup got {len(values)} constants but d={d}")
         _require_preset_dim(dim)
-        return rate_set(dim, [_fmt(c) for c in values])
+        return rate_set(dim, [repr(c) for c in values])
     raise InvalidInputError(f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
 
 

@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -56,6 +58,13 @@ class TestChannel:
         assert code == 0
         assert "cp: true" in out
         assert "probabilities: 0 1 0 0" in out
+
+    def test_lists_starting_with_a_dash(self, capsys):
+        code, out, err = run(["channel", "--d", "2", "--lambdas", "-1,-1,1"], capsys)
+        assert code == 0, err
+        assert "probabilities: 0 0 0 1" in out
+        code, _, err = run(["channel", "--d", "2", "--probs", "-0.1,0.5,0.3,0.3"], capsys)
+        assert code == 0, err
 
     def test_non_cp_channel(self, capsys):
         code, out, _ = run(["channel", "--d", "2", "--lambdas", "1,1,-1"], capsys)
@@ -171,6 +180,25 @@ class TestDynamics:
         code, _, err = run(["dynamics", "--d", "2"], capsys)
         assert code == 2
 
+    def test_underflowing_cp_divisible_semigroup(self, tmp_path, capsys, monkeypatch):
+        # lambda underflows to 0 from t ~ 7.5 on; intermediate maps must stay finite
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run(shlex.split(
+            "dynamics --preset semigroup --c 50,50,50 --t-max 10 --steps 200"
+        ), capsys)
+        assert code == 0, err
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["criteria"]["cp_divisible"]["status"] == "holds"
+        assert report["trace_norm_witness"] == {"found": False}
+        assert report["blp_witness"] == {"found": False}
+
+    def test_constants_starting_with_a_dash(self, tmp_path, capsys):
+        code, _, err = run(["dynamics", "--preset", "semigroup", "--c", "-0.1,1,1",
+                            "--steps", "40", "--attempts", "50", "--out", str(tmp_path)], capsys)
+        assert code == 0, err
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["criteria"]["cp_divisible"]["violations"][0]["label"] == "gamma_1"
+
     def test_determinism_byte_identical(self, tmp_path, capsys):
         args = ["dynamics", "--preset", "avg-decoherence", "--d", "3", "--steps", "60",
                 "--seed", "7", "--attempts", "200", "--blp-pairs", "6"]
@@ -209,3 +237,18 @@ class TestMisc:
         )
         assert proc.returncode == 0
         assert "eternal-qubit" in proc.stdout
+
+
+def test_readme_cli_lines_run_as_written(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("paulidyn ")]
+    assert len(lines) >= 8
+    monkeypatch.chdir(tmp_path)
+    failed = []
+    for line in lines:
+        code = main(shlex.split(line)[1:])
+        _, err = capsys.readouterr()
+        if code != 0:
+            failed.append(f"{line!r} exited {code}: {err.strip()}")
+    assert not failed, failed

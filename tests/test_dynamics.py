@@ -1,8 +1,11 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from paulidyn.channel import choi_matrix
@@ -26,7 +29,7 @@ from paulidyn.dynamics import (
     trajectory_to_csv,
     weyl_rates_from_trajectory,
 )
-from paulidyn.errors import InvalidInputError, QuadratureError
+from paulidyn.errors import EvaluationError, InvalidInputError, QuadratureError
 from paulidyn.linalg import random_density_matrix, random_hermitian, trace_norm
 from paulidyn.mub import dephase_all
 from paulidyn.ratefn import preset_rates, rate_set
@@ -95,6 +98,55 @@ class TestBuildTrajectory:
         rates = rate_set(2, ["1", "1/(t - 0.5)", "1"])
         with pytest.raises(QuadratureError, match="gamma_2"):
             build_trajectory(rates, t_max=1.000001, steps=4)
+
+    def test_tolerance_below_rounding_noise_fails_on_a_grid(self):
+        # every step keeps splitting; the pass must stop with an error, not run out of memory
+        with pytest.raises(QuadratureError, match="gamma_1"):
+            build_trajectory(rate_set(2, ["t*t*t*t*t", "1", "1"]), t_max=1.0, steps=400,
+                             tol=1e-300)
+
+    @pytest.mark.parametrize(
+        "source,t_max,undefined",
+        [
+            ("ln(2 - t)", 3.0, lambda g: 2 - g <= 0),
+            ("1/(t - 1)", 3.0, lambda g: g - 1 == 0),
+            ("exp(t*t)", 30.0, lambda g: g * g > math.log(np.finfo(float).max)),
+            ("(0-2)^t", 3.0, lambda g: g != np.round(g)),
+        ],
+    )
+    def test_domain_error_names_first_offending_grid_time(self, source, t_max, undefined):
+        steps = 30
+        grid = np.linspace(0.0, t_max, steps + 1)
+        first = float(grid[np.argmax(undefined(grid))])
+        assert undefined(grid).any() and first > 0.0
+        with pytest.raises(EvaluationError) as err:
+            build_trajectory(rate_set(2, ["1", source, "1"]), t_max=t_max, steps=steps)
+        assert str(err.value).endswith(f"at t={first!r}")
+
+    @pytest.mark.parametrize(
+        "rates,oracles",
+        [
+            (preset_rates("eternal-general", d=3),
+             [lambda t: 1 + mpmath.tanh(t) / 3] * 2 + [lambda t: -2 * mpmath.tanh(t) / 3] * 2),
+            (preset_rates("avg-decoherence", d=5),
+             [lambda t: mpmath.mpf(1)] * 5
+             + [lambda t: -4 * (mpmath.exp(5 * t) - 1) / (mpmath.exp(5 * t) + 4)]),
+            (rate_set(2, ["1", "0.3 + 0.8*tanh(1.7*(t - 2.2))", "0.5"]),
+             [lambda t: mpmath.mpf(1), lambda t: 0.3 + 0.8 * mpmath.tanh(1.7 * (t - 2.2)),
+              lambda t: mpmath.mpf("0.5")]),
+        ],
+        ids=["eternal-general-d3", "avg-decoherence-d5", "tanh"],
+    )
+    def test_running_integrals_match_mpmath(self, rates, oracles):
+        tol = 1e-10
+        traj = build_trajectory(rates, t_max=5.0, steps=40, tol=tol)
+        with mpmath.workdps(30):
+            for a, f in enumerate(oracles):
+                running, exact = mpmath.mpf(0), [0.0]
+                for lo, hi in zip(traj.grid[:-1], traj.grid[1:]):
+                    running += mpmath.quad(f, [mpmath.mpf(float(lo)), mpmath.mpf(float(hi))])
+                    exact.append(float(running))
+                assert np.abs(traj.big_gammas[a] - np.array(exact)).max() <= tol
 
     def test_mus_are_rate_deviations(self):
         traj = build_trajectory(preset_rates("eternal-qubit"), t_max=1.0, steps=10)
@@ -502,3 +554,17 @@ class TestAnalyzeAndExports:
         assert np.array_equal(row[1:4], traj.gammas[:, i])
         assert np.array_equal(row[4:7], traj.big_gammas[:, i])
         assert np.array_equal(row[7:10], traj.lambdas[:, i])
+
+
+@given(
+    data=st.data(),
+    d=st.sampled_from([2, 3, 5]),
+    t_max=st.floats(min_value=0.1, max_value=10.0),
+)
+@settings(max_examples=30, deadline=None)
+def test_constant_rates_give_a_finite_report(data, d, t_max):
+    constants = data.draw(st.lists(st.floats(min_value=-5.0, max_value=100.0),
+                                   min_size=d + 1, max_size=d + 1))
+    _, report = analyze(preset_rates("semigroup", constants=constants), t_max=t_max,
+                        steps=60, witness_attempts=50, blp_pairs=4)
+    json.dumps(report.to_json_dict(), allow_nan=False)

@@ -18,6 +18,7 @@ from paulidyn.ratefn import (
     parse,
     preset_rates,
     rate_set,
+    running_integral,
     to_source,
 )
 
@@ -209,6 +210,50 @@ class TestIntegrate:
                 whole = integrate(expr, a, b, tol=tol)
                 split = integrate(expr, a, m, tol=tol) + integrate(expr, m, b, tol=tol)
                 assert abs(whole - split) <= 2.0 * tol + 1e-14
+
+
+def recursive_simpson(expr, a, b, tol):
+    """Reference: the depth-first adaptive Simpson recursion, one point at a time."""
+
+    def rec(a, fa, b, fb, whole, fm, tol, depth):
+        m = 0.5 * (a + b)
+        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
+        flm, frm = evaluate(expr, lm), evaluate(expr, rm)
+        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+        delta = left + right - whole
+        if abs(delta) <= 15.0 * tol:
+            return left + right + delta / 15.0
+        assert depth > 0
+        return (rec(a, fa, m, fm, left, flm, 0.5 * tol, depth - 1)
+                + rec(m, fm, b, fb, right, frm, 0.5 * tol, depth - 1))
+
+    fa, fb, fm = evaluate(expr, a), evaluate(expr, b), evaluate(expr, 0.5 * (a + b))
+    return rec(a, fa, b, fb, (b - a) / 6.0 * (fa + 4.0 * fm + fb), fm, tol, 48)
+
+
+class TestBreadthFirstSimpson:
+    """The array pass performs the recursion's arithmetic exactly, in its order."""
+
+    SOURCES = ["tanh(20*(t - 1))", "exp(-t) + t*t", "-(3-1)*(exp(3*t)-1)/(exp(3*t)+3-1)",
+               "0.3 + 0.8*tanh(1.7*(t - 2.2))", "1/(t + 0.01)"]
+
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_integrate_equals_recursion(self, source):
+        expr = parse(source)
+        for a, b, tol in [(0.0, 2.0, 1e-12), (0.3, 0.31, 1e-10), (0.0, 5.0, 1e-6)]:
+            assert integrate(expr, a, b, tol) == recursive_simpson(expr, a, b, tol)
+
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_running_integral_equals_sequential_loop(self, source):
+        expr = parse(source)
+        grid = np.linspace(0.0, 3.0, 31)
+        values, running = running_integral(expr, grid, 1e-13)
+        expected = [0.0]
+        for lo, hi in zip(grid[:-1], grid[1:]):
+            expected.append(expected[-1] + recursive_simpson(expr, lo, hi, 1e-13))
+        assert values.tolist() == [evaluate(expr, t) for t in grid]
+        assert running.tolist() == expected
 
 
 class TestPresets:
