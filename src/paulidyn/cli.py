@@ -145,8 +145,7 @@ def cmd_dynamics(args) -> int:
     out = Path(args.out)
     _write(out / "trajectory.csv", dyn.trajectory_to_csv(traj))
     _write(out / "report.json", _json_text(report.to_json_dict()))
-    for v in (report.cp_map_valid, report.cp_divisible, report.p_necessary,
-              report.p_sufficient, report.weyl_sufficient, report.frobenius_monotone):
+    for v in report.verdicts:
         extra = ""
         if v.status == dyn.VIOLATED and v.first_violation_time is not None:
             extra = f" first at t={v.first_violation_time:.17g}"

@@ -33,11 +33,13 @@ import numpy as np
 from .channel import GenPauliChannel, channel_from_eigenvalues, cp_margins
 from .errors import (
     DimensionError,
+    EvaluationError,
     InternalConsistencyError,
     InvalidInputError,
     QuadratureError,
 )
-from .linalg import as_square_matrix, random_density_matrix, random_pure_state, trace_norm
+from .linalg import (as_square_matrix, random_density_matrix, random_hermitian,
+                     random_pure_state, trace_norm)
 from .mub import MubFamily, axis_blocks, mub_family, spectral_apply
 from .ratefn import RateSet, evaluate, running_integral
 
@@ -50,6 +52,10 @@ TOL_WITNESS_NORM = 1e-9
 #: a BLP rise must also exceed this many ulps of d * (initial trace distance);
 #: the evolved distance carries rounding error of that size once it has decayed
 BLP_ROUNDING_FLOOR = 64
+#: the witness search samples intermediate maps between at most this many grid times
+MAX_ANCHORS = 40
+#: sampled states per concentrated-phase kernel call; bounds its memory
+_STATE_CHUNK = 256
 
 HOLDS = "holds"
 VIOLATED = "violated"
@@ -99,7 +105,8 @@ def build_trajectory(rates: RateSet, t_max: float, steps: int = 400,
 
     Per rate, one array call samples it on the grid and integrates every
     subinterval to ``tol / steps`` in one adaptive-Simpson pass, so the
-    accumulated error stays below ``tol``.
+    accumulated error stays below ``tol``.  A map eigenvalue that overflows
+    raises :class:`EvaluationError` naming it and the first such grid time.
     """
     if not (math.isfinite(t_max) and t_max > 0):
         raise InvalidInputError(f"t_max must be positive and finite, got {t_max!r}")
@@ -114,9 +121,14 @@ def build_trajectory(rates: RateSet, t_max: float, steps: int = 400,
             gammas[a], big[a] = running_integral(expr, grid, tol / steps)
         except QuadratureError as exc:
             raise QuadratureError(f"rate gamma_{a + 1} failed: {exc}") from exc
+    with np.errstate(over="ignore"):
+        lambdas = np.exp(big - big.sum(axis=0))
+    if not np.isfinite(lambdas).all():
+        i, a = np.argwhere(~np.isfinite(lambdas.T))[0]  # first grid time, then first axis
+        raise EvaluationError(f"map eigenvalue lambda_{a + 1} overflows at t={float(grid[i])!r}")
     return Trajectory(
         dim=d, grid=_freeze(grid), gammas=_freeze(gammas),
-        big_gammas=_freeze(big), lambdas=_freeze(np.exp(big - big.sum(axis=0))),
+        big_gammas=_freeze(big), lambdas=_freeze(lambdas),
     )
 
 
@@ -391,13 +403,8 @@ def check_frobenius_monotone(traj: Trajectory, family: MubFamily | None = None,
     )
     if family is None or samples <= 0:
         return verdict
-    rng = np.random.default_rng(seed)
     worst_rel = 0.0
-    for _ in range(samples):
-        g = rng.standard_normal((traj.dim, traj.dim)) + 1j * rng.standard_normal(
-            (traj.dim, traj.dim)
-        )
-        x = 0.5 * (g + g.conj().T)
+    for x in random_hermitian(traj.dim, np.random.default_rng(seed), samples):
         orbit = evolve_operator(traj, family, x)
         norms = np.linalg.norm(orbit, axis=(1, 2))
         increases = np.diff(norms) / np.maximum(norms[:-1], 1e-300)
@@ -481,7 +488,7 @@ def _axis_scan(traj: Trajectory):
 
 def find_p_divisibility_witness(traj: Trajectory, family: MubFamily,
                                 attempts: int = 2000, refine_iters: int = 50,
-                                seed: int = 42, max_anchors: int = 40) -> Witness | None:
+                                seed: int = 42) -> Witness | None:
     """Search for an intermediate map that is not a positive map.
 
     Two routes, both certified by direct evaluation before being returned:
@@ -521,36 +528,28 @@ def find_p_divisibility_witness(traj: Trajectory, family: MubFamily,
     # Route 2: positivity of intermediate maps on sampled pure states.
     if attempts <= 0:
         return max(witnesses, key=lambda w: w.magnitude) if witnesses else None
-    rng = np.random.default_rng(seed)
     n = traj.steps
-    anchors = np.unique(np.round(np.linspace(0, n, min(max_anchors, n + 1))).astype(int))
+    anchors = np.unique(np.round(np.linspace(0, n, min(MAX_ANCHORS, n + 1))).astype(int))
     upper_i, upper_j = np.triu_indices(anchors.size, k=1)  # every anchor pair i < j
     pair_i, pair_j = anchors[upper_i], anchors[upper_j]
     log_lam = traj.log_lambdas
     nus = np.exp(log_lam[:, pair_j] - log_lam[:, pair_i]).T  # (P, d+1)
 
+    states = random_pure_state(d, np.random.default_rng(seed), attempts)
     n_probe = min(8, attempts)
-    states = np.stack([random_pure_state(d, rng) for _ in range(n_probe)])
-    eigs = _min_eig_for_pairs(family, nus, states)  # (S, P)
+    eigs = _min_eig_for_pairs(family, nus, states[:n_probe])  # (S, P)
     best_state_idx, best_pair = np.unravel_index(int(np.argmin(eigs)), eigs.shape)
     best_eig = float(eigs[best_state_idx, best_pair])
     best_psi = states[best_state_idx]
 
-    pair_rank = np.argsort(eigs.min(axis=0))
-    top_pairs = pair_rank[: min(12, pair_rank.size)]
-    nus_top = nus[top_pairs]
-
-    remaining = attempts - n_probe
-    chunk = 256
-    while remaining > 0:
-        take = min(chunk, remaining)
-        remaining -= take
-        states = np.stack([random_pure_state(d, rng) for _ in range(take)])
-        eigs = _min_eig_for_pairs(family, nus_top, states)
+    # the rest of the states go to the 12 pairs the probe found worst
+    top_pairs = np.argsort(eigs.min(axis=0))[:12]
+    for lo in range(n_probe, attempts, _STATE_CHUNK):
+        eigs = _min_eig_for_pairs(family, nus[top_pairs], states[lo:lo + _STATE_CHUNK])
         s_idx, p_idx = np.unravel_index(int(np.argmin(eigs)), eigs.shape)
         if float(eigs[s_idx, p_idx]) < best_eig:
             best_eig = float(eigs[s_idx, p_idx])
-            best_psi = states[s_idx]
+            best_psi = states[lo + s_idx]
             best_pair = int(top_pairs[p_idx])
 
     # Coordinate polish of the best candidate state on its pair.
@@ -614,14 +613,15 @@ def check_blp(traj: Trajectory, family: MubFamily, pairs=20, seed: int = 42) -> 
     """
     d = traj.dim
     if isinstance(pairs, int):
-        rng = np.random.default_rng(seed)
-        # one antipodal pair per basis, then random mixed pairs
+        if pairs < 0:
+            raise InvalidInputError(f"BLP pair count must be >= 0, got {pairs}")
+        # one antipodal pair per basis, then random mixed pairs (rho1, rho2 alternating)
         pair_list = [
             (family.projector(a, 0), family.projector(a, 1)) for a in range(1, d + 2)
-        ]
-        while len(pair_list) < pairs:
-            pair_list.append((random_density_matrix(d, rng), random_density_matrix(d, rng)))
-        pair_list = pair_list[:pairs]
+        ][:pairs]
+        rhos = random_density_matrix(d, np.random.default_rng(seed),
+                                     2 * (pairs - len(pair_list)))
+        pair_list += zip(rhos[0::2], rhos[1::2])
     else:
         pair_list = list(pairs)
 
@@ -664,6 +664,12 @@ class DivisibilityReport:
     trace_norm_witness: Witness | None
     blp_witness: Witness | None
 
+    @property
+    def verdicts(self) -> tuple:
+        """The six grid verdicts, in report order."""
+        return (self.cp_map_valid, self.cp_divisible, self.p_necessary,
+                self.p_sufficient, self.weyl_sufficient, self.frobenius_monotone)
+
     def to_json_dict(self) -> dict:
         def witness_dict(w):
             return {"found": False} if w is None else w.to_json_dict()
@@ -673,13 +679,7 @@ class DivisibilityReport:
             "t_max": self.t_max,
             "steps": self.steps,
             "seed": self.seed,
-            "criteria": {
-                v.criterion: v.to_json_dict()
-                for v in (
-                    self.cp_map_valid, self.cp_divisible, self.p_necessary,
-                    self.p_sufficient, self.weyl_sufficient, self.frobenius_monotone,
-                )
-            },
+            "criteria": {v.criterion: v.to_json_dict() for v in self.verdicts},
             "trace_norm_witness": witness_dict(self.trace_norm_witness),
             "blp_witness": witness_dict(self.blp_witness),
         }
@@ -721,6 +721,8 @@ def analyze(rates: RateSet, family: MubFamily | None = None, t_max: float = 5.0,
             witness_attempts: int = 2000, refine_iters: int = 50,
             blp_pairs: int = 20) -> tuple:
     """Build the trajectory and run every analyzer; returns (trajectory, report)."""
+    if seed < 0:
+        raise InvalidInputError(f"seed must be >= 0, got {seed}")
     if family is None:
         family = mub_family(rates.dim)
     traj = build_trajectory(rates, t_max=t_max, steps=steps, tol=tol)
@@ -745,20 +747,8 @@ def analyze(rates: RateSet, family: MubFamily | None = None, t_max: float = 5.0,
 
 def trajectory_to_csv(traj: Trajectory) -> str:
     """CSV with columns t, gamma_1.., Gamma_1.., lambda_1.. (17 significant digits)."""
-    d = traj.dim
-    cols = (
-        ["t"]
-        + [f"gamma_{a + 1}" for a in range(d + 1)]
-        + [f"Gamma_{a + 1}" for a in range(d + 1)]
-        + [f"lambda_{a + 1}" for a in range(d + 1)]
-    )
-    lines = [",".join(cols)]
-    for i in range(traj.grid.shape[0]):
-        row = (
-            [traj.grid[i]]
-            + list(traj.gammas[:, i])
-            + list(traj.big_gammas[:, i])
-            + list(traj.lambdas[:, i])
-        )
-        lines.append(",".join(format(x, ".17g") for x in row))
-    return "\n".join(lines) + "\n"
+    cols = ["t"] + [f"{name}_{a + 1}" for name in ("gamma", "Gamma", "lambda")
+                    for a in range(traj.dim + 1)]
+    table = np.vstack((traj.grid, traj.gammas, traj.big_gammas, traj.lambdas)).T
+    row = ",".join(["%.17g"] * len(cols))  # the text of format(x, ".17g") per value
+    return "\n".join([",".join(cols)] + [row % tuple(r) for r in table]) + "\n"

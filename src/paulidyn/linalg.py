@@ -111,17 +111,20 @@ class KrausMap:
 
 # ---------------------------------------------------------------------------
 # Seeded random generation (property tests, witness searches)
+# With a count ``n`` (numpy's ``size``), a sampler returns n draws from one
+# standard_normal call, bit for bit the n single calls: real block, then imaginary.
 # ---------------------------------------------------------------------------
 
 
-def random_complex_matrix(d: int, rng: np.random.Generator) -> np.ndarray:
+def random_complex_matrix(d: int, rng: np.random.Generator, n: int | None = None) -> np.ndarray:
     """Ginibre matrix: i.i.d. standard complex Gaussian entries."""
-    return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    g = rng.standard_normal((2, d, d) if n is None else (n, 2, d, d))
+    return g[..., 0, :, :] + 1j * g[..., 1, :, :]
 
 
-def random_hermitian(d: int, rng: np.random.Generator) -> np.ndarray:
-    g = random_complex_matrix(d, rng)
-    return 0.5 * (g + g.conj().T)
+def random_hermitian(d: int, rng: np.random.Generator, n: int | None = None) -> np.ndarray:
+    g = random_complex_matrix(d, rng, n)
+    return 0.5 * (g + np.conj(np.swapaxes(g, -1, -2)))
 
 
 def random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -132,12 +135,17 @@ def random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     return q * phases
 
 
-def random_pure_state(d: int, rng: np.random.Generator) -> np.ndarray:
-    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    return v / np.linalg.norm(v)
+def random_pure_state(d: int, rng: np.random.Generator, n: int | None = None) -> np.ndarray:
+    g = rng.standard_normal((2, d) if n is None else (n, 2, d))
+    v = g[..., 0, :] + 1j * g[..., 1, :]
+    # per row, the two dot products np.linalg.norm takes of a complex vector,
+    # on the same strided real and imaginary views, so the norm is bit-identical
+    re, im = v.real[..., None, :], v.imag[..., None, :]
+    sq = re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2)
+    return v / np.sqrt(sq[..., 0])
 
 
-def random_density_matrix(d: int, rng: np.random.Generator) -> np.ndarray:
-    g = random_complex_matrix(d, rng)
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
+def random_density_matrix(d: int, rng: np.random.Generator, n: int | None = None) -> np.ndarray:
+    g = random_complex_matrix(d, rng, n)
+    rho = g @ np.conj(np.swapaxes(g, -1, -2))
+    return rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]

@@ -304,8 +304,8 @@ def running_integral(expr: RateExpr, grid: np.ndarray, tol: float) -> tuple:
     a path may take 48 levels and a step 100k bisections.  Level values are
     folded back in tree order, so each step sums as the recursion sums it.
     """
-    if tol <= 0.0:
-        raise InvalidInputError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise InvalidInputError("tol must be positive and finite")
     f = _eval_node(expr.root, grid)
     a, b, fa, fb = grid[:-1], grid[1:], f[:-1], f[1:]
     m = 0.5 * (a + b)

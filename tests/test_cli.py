@@ -176,6 +176,24 @@ class TestDynamics:
         )
         assert code == 3
 
+    def test_overflowing_eigenvalue_exits_3(self, tmp_path, capsys):
+        code, _, err = run(shlex.split(
+            "dynamics --preset semigroup --c=-40,-40,0 --t-max 10 --steps 50"
+        ) + ["--out", str(tmp_path)], capsys)
+        assert code == 3
+        assert err == "error: map eigenvalue lambda_3 overflows at t=9.0\n"
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--seed", "-1", "seed must be >= 0"),
+        ("--tol", "nan", "tol must be positive and finite"),
+        ("--blp-pairs", "-2", "BLP pair count must be >= 0"),
+    ])
+    def test_out_of_range_value_exits_2(self, flag, value, message, tmp_path, capsys):
+        code, _, err = run(["dynamics", "--preset", "eternal-qubit", "--steps", "40",
+                            "--attempts", "50", flag, value, "--out", str(tmp_path)], capsys)
+        assert code == 2
+        assert err.startswith(f"error: {message}") and "Traceback" not in err
+
     def test_missing_rates_rejected(self, capsys):
         code, _, err = run(["dynamics", "--d", "2"], capsys)
         assert code == 2

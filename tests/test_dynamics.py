@@ -123,6 +123,20 @@ class TestBuildTrajectory:
             build_trajectory(rate_set(2, ["1", source, "1"]), t_max=t_max, steps=steps)
         assert str(err.value).endswith(f"at t={first!r}")
 
+    def test_overflowing_eigenvalue_names_axis_and_first_grid_time(self):
+        # lambda_3 = exp(80 t) overflows once 80 t exceeds ln(max float), near t = 8.87
+        grid = np.linspace(0.0, 10.0, 51)
+        first = float(grid[np.argmax(80.0 * grid > math.log(np.finfo(float).max))])
+        with pytest.raises(EvaluationError) as err:
+            build_trajectory(preset_rates("semigroup", constants=(-40, -40, 0)),
+                             t_max=10.0, steps=50)
+        assert str(err.value) == f"map eigenvalue lambda_3 overflows at t={first!r}"
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+    def test_tolerance_must_be_positive_and_finite(self, tol):
+        with pytest.raises(InvalidInputError, match="tol"):
+            build_trajectory(preset_rates("eternal-qubit"), t_max=1.0, steps=4, tol=tol)
+
     @pytest.mark.parametrize(
         "rates,oracles",
         [
@@ -554,6 +568,27 @@ class TestAnalyzeAndExports:
         assert np.array_equal(row[1:4], traj.gammas[:, i])
         assert np.array_equal(row[4:7], traj.big_gammas[:, i])
         assert np.array_equal(row[7:10], traj.lambdas[:, i])
+
+    def test_csv_matches_per_value_format_on_a_fine_grid(self):
+        rates = rate_set(2, ["0.4 + 0.9*tanh(1.3*(t - 2.5))", "1", "-0.2*tanh(t)"])
+        traj = build_trajectory(rates, t_max=10.0, steps=10_000)
+        columns = np.vstack((traj.grid, traj.gammas, traj.big_gammas, traj.lambdas))
+        rows = [",".join(format(x, ".17g") for x in columns[:, i])
+                for i in range(columns.shape[1])]
+        assert trajectory_to_csv(traj).split("\n")[1:] == rows + [""]
+
+    def test_report_verdicts_in_report_order(self, family2):
+        _, report = analyze(preset_rates("eternal-qubit"), family2, t_max=1.0, steps=20,
+                            witness_attempts=20, blp_pairs=4)
+        assert [v.criterion for v in report.verdicts] == list(report.to_json_dict()["criteria"])
+
+    def test_negative_seed_and_pair_count_rejected(self, family2):
+        rates = preset_rates("eternal-qubit")
+        with pytest.raises(InvalidInputError, match="seed"):
+            analyze(rates, family2, t_max=1.0, steps=20, seed=-1)
+        traj = build_trajectory(rates, t_max=1.0, steps=20)
+        with pytest.raises(InvalidInputError, match="pair count"):
+            check_blp(traj, family2, pairs=-2)
 
 
 @given(

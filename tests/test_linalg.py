@@ -11,6 +11,7 @@ from paulidyn.linalg import (
     hermitian_check,
     matrices_close,
     min_eigenvalue_hermitian,
+    random_complex_matrix,
     random_density_matrix,
     random_hermitian,
     random_pure_state,
@@ -130,6 +131,35 @@ def test_min_eig_matches_quadratic_forms(rng):
             forms.append((psi.conj() @ h @ psi).real)
         assert (lo >= -1e-12) == all(f >= -1e-10 for f in forms)
         assert min(forms) >= lo - 1e-12
+
+
+SAMPLERS = [random_complex_matrix, random_hermitian, random_pure_state, random_density_matrix]
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 13])
+@pytest.mark.parametrize("sampler", SAMPLERS, ids=lambda f: f.__name__)
+def test_stacked_draw_equals_single_calls(sampler, d):
+    single, stacked = np.random.default_rng(11), np.random.default_rng(11)
+    expected = np.stack([sampler(d, single) for _ in range(40)])
+    assert sampler(d, stacked, 40).tobytes() == expected.tobytes()
+    assert stacked.random() == single.random()  # both streams left at the same place
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 13])
+def test_single_draws_match_the_textbook_formulas(d):
+    ref, rng = np.random.default_rng(5), np.random.default_rng(5)
+
+    def ginibre():
+        return ref.standard_normal((d, d)) + 1j * ref.standard_normal((d, d))
+
+    assert random_complex_matrix(d, rng).tobytes() == ginibre().tobytes()
+    g = ginibre()
+    assert random_hermitian(d, rng).tobytes() == (0.5 * (g + g.conj().T)).tobytes()
+    v = ref.standard_normal(d) + 1j * ref.standard_normal(d)
+    assert random_pure_state(d, rng).tobytes() == (v / np.linalg.norm(v)).tobytes()
+    g = ginibre()
+    rho = g @ g.conj().T
+    assert random_density_matrix(d, rng).tobytes() == (rho / np.trace(rho).real).tobytes()
 
 
 def test_random_density_matrix_properties(rng):

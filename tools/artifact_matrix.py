@@ -1,0 +1,98 @@
+"""Hash the artifacts of ``paulidyn dynamics`` over a fixed matrix of cases.
+
+Runs the command in-process for every case of the ROADMAP preset matrix
+(eternal-qubit; eternal-general, avg-decoherence and four semigroup constant
+sets at d in {2, 3, 5, 7}; eternal-general and avg-decoherence at d in
+{11, 13}), a few d=2 tanh rate sets and one 10^4-step grid, each with seeds
+42 and 7, and prints one line per case::
+
+    <case> <sha256 of report.json> <sha256 of trajectory.csv>
+
+A case that exits non-zero prints ``exit=<code>`` in place of the hashes.
+Whether two checkouts write byte-identical artifacts is then one ``diff``::
+
+    PYTHONPATH=src python3 tools/artifact_matrix.py > after.txt
+    PYTHONPATH=<other checkout>/src python3 tools/artifact_matrix.py > before.txt
+    diff before.txt after.txt
+
+The ``paulidyn`` that runs is whichever one ``PYTHONPATH`` selects; its path
+goes to stderr.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+import paulidyn
+from paulidyn.cli import main
+
+SEEDS = (42, 7)
+
+# (a, b, c, e) per rate of a + b*tanh(c*(t - e)), three rates per d=2 set
+TANH_SETS = (
+    ((0.5, -1.0, 1.0, 1.0), (0.8, 0.3, 0.5, 2.0), (1.0, 0.2, 1.5, 0.5)),
+    ((-0.3, 0.9, 0.7, 2.5), (0.6, -0.4, 1.2, 1.0), (0.4, 0.5, 0.3, 3.0)),
+    ((1.1, -0.9, 2.0, 0.2), (-0.5, 0.8, 0.9, 3.5), (0.7, -0.6, 1.8, 1.5)),
+    ((0.2, 0.1, 0.4, 0.0), (0.9, -1.0, 1.1, 2.2), (-0.2, 0.6, 0.6, 1.2)),
+)
+
+
+def semigroup_sets(d: int) -> dict:
+    """Constant-rate sets with no, one, two and d negative rates."""
+    return {
+        "pos": [0.3 + 0.2 * k for k in range(d + 1)],
+        "neg1": [1.0 + 0.1 * k for k in range(d)] + [-0.3],
+        "neg2": [0.5] * (d - 1) + [-0.2, -0.1],
+        "negd": [2.0] + [-0.05] * d,
+    }
+
+
+def cases():
+    """(name, argv without --seed/--out) for every case of the matrix."""
+    yield "eternal-qubit", ["--preset=eternal-qubit"]
+    for d in (2, 3, 5, 7, 11, 13):
+        for preset in ("eternal-general", "avg-decoherence"):
+            yield f"{preset}-d{d}", [f"--preset={preset}", f"--d={d}"]
+        if d > 7:
+            continue
+        for label, values in semigroup_sets(d).items():
+            yield (f"semigroup-{label}-d{d}",
+                   ["--preset=semigroup", "--c=" + ",".join(repr(c) for c in values)])
+    # large rates: lambda underflows to 0 for t > ~7.5
+    yield "semigroup-large-d2-t10", ["--preset=semigroup", "--c=50,50,50", "--t-max=10"]
+    for k, params in enumerate(TANH_SETS, 1):
+        yield (f"tanh{k}-d2",
+               ["--d=2"] + [f"--gamma={a!r} + {b!r}*tanh({c!r}*(t - {e!r}))"
+                            for (a, b, c, e) in params])
+    yield ("eternal-general-d3-t10-n10000",
+           ["--preset=eternal-general", "--d=3", "--t-max=10", "--steps=10000"])
+
+
+def sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def run_case(argv: list) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+            code = main(["dynamics", *argv, f"--out={tmp}"])
+        if code != 0:
+            return f"exit={code}"
+        return f"{sha256(Path(tmp) / 'report.json')} {sha256(Path(tmp) / 'trajectory.csv')}"
+
+
+def run_matrix() -> None:
+    print(f"paulidyn from {Path(paulidyn.__file__).parent}", file=sys.stderr)
+    for name, argv in cases():
+        for seed in SEEDS:
+            print(f"{name}-s{seed} {run_case(argv + [f'--seed={seed}'])}", flush=True)
+
+
+if __name__ == "__main__":
+    run_matrix()
