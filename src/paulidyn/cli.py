@@ -201,9 +201,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_dyn.add_argument("--steps", type=int, default=400)
     p_dyn.add_argument("--seed", type=int, default=42)
     p_dyn.add_argument("--tol", type=float, default=1e-10)
-    p_dyn.add_argument("--attempts", type=int, default=2000,
-                       help="random pure states for the witness search")
-    p_dyn.add_argument("--refine-iters", type=int, default=50)
+    p_dyn.add_argument("--attempts", type=int, default=64,
+                       help="seeded start pairs for the witness see-saw (0: axis scan only)")
+    p_dyn.add_argument("--refine-iters", type=int, default=50,
+                       help="cap on see-saw steps per round and on pair-step rounds")
     p_dyn.add_argument("--blp-pairs", type=int, default=20)
     p_dyn.add_argument("--out", default=".", help="output directory")
     p_dyn.set_defaults(func=cmd_dynamics)

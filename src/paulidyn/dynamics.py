@@ -52,10 +52,14 @@ TOL_WITNESS_NORM = 1e-9
 #: a BLP rise must also exceed this many ulps of d * (initial trace distance);
 #: the evolved distance carries rounding error of that size once it has decayed
 BLP_ROUNDING_FLOOR = 64
-#: the witness search samples intermediate maps between at most this many grid times
-MAX_ANCHORS = 40
-#: sampled states per concentrated-phase kernel call; bounds its memory
-_STATE_CHUNK = 256
+#: the witness search pairs at most this many grid times with each other
+SCREEN_GRID = 401
+#: seesaw chains the witness search refines at once
+SEESAW_CHAINS = 12
+#: witness-search values this many ulps of their scale apart count as tied
+TIE_ULPS = 64
+#: grid pairs per chunk of a linear-form scan; bounds its memory
+_PAIR_CHUNK = 2048
 
 HOLDS = "holds"
 VIOLATED = "violated"
@@ -329,30 +333,18 @@ def check_p_necessary(traj: Trajectory) -> Verdict:
     return _axis_mu_verdict("p_necessary", traj, lambda a: f"sum of rates except gamma_{a}")
 
 
-def _pairwise_margin_columns(gammas: np.ndarray, d: int):
-    """Per-time minimum of gamma_a + (d-1) gamma_b over ordered pairs a != b.
-
-    The minimum always pairs the smallest rate (weighted d-1) with the second
-    smallest; returns (values, argmin_b, argmin_a).
-    """
-    order = np.argsort(gammas, axis=0)
-    b_idx = order[0]
-    a_idx = order[1]
-    cols = np.arange(gammas.shape[1])
-    values = gammas[a_idx, cols] + (d - 1) * gammas[b_idx, cols]
-    return values, b_idx, a_idx
-
-
 def check_p_sufficient(traj: Trajectory) -> Verdict:
     """Sufficient for P-divisibility: gamma_a + (d-1) gamma_b >= 0 for a != b.
 
-    The derivation assumes at most one rate is strictly negative at a time;
-    grid times with two or more negative rates are reported not-applicable
-    rather than violated.
+    The per-time minimum over ordered pairs always pairs the smallest rate b
+    (weighted d-1) with the second smallest a.  The derivation assumes at most
+    one rate is strictly negative at a time; grid times with two or more
+    negative rates are reported not-applicable rather than violated.
     """
-    d = traj.dim
-    g = traj.gammas
-    values, b_idx, a_idx = _pairwise_margin_columns(g, d)
+    d, g = traj.dim, traj.gammas
+    b_idx, a_idx = np.argsort(g, axis=0)[:2]
+    cols = np.arange(g.shape[1])
+    values = g[a_idx, cols] + (d - 1) * g[b_idx, cols]
     return _conditional_verdict(
         "p_sufficient", traj.grid, values, (g < -TOL_CONDITION).sum(axis=0) <= 1,
         lambda i: f"gamma_{a_idx[i] + 1} + {d - 1}*gamma_{b_idx[i] + 1}",
@@ -460,18 +452,6 @@ class Witness:
         return out
 
 
-def _min_eig_for_pairs(family: MubFamily, nus: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """Smallest output eigenvalue for each (state, pair) combination.
-
-    nus: (P, d+1) intermediate-map eigenvalues; states: (S, d) unit vectors.
-    Returns (S, P).
-    """
-    projs = states[:, :, None] * states[:, None, :].conj()
-    mats = spectral_apply(family, nus, projs)
-    mats = 0.5 * (mats + np.conj(np.swapaxes(mats, -1, -2)))
-    return np.linalg.eigvalsh(mats)[..., 0]
-
-
 def _axis_scan(traj: Trajectory):
     """Largest eigenvalue ratio nu_alpha(t, s) > 1 over all grid pairs, per axis.
 
@@ -486,8 +466,88 @@ def _axis_scan(traj: Trajectory):
     return float(np.exp(log_ratios[a, rel_j])), int(a), i, int(j)
 
 
+def _screen_pairs(log_lam: np.ndarray) -> tuple:
+    """Grid index pairs (i < j), in (i, j) order, whose intermediate map is not CP.
+
+    ``log_lam`` is (N+1, d+1).  Every pair of at most SCREEN_GRID spread grid
+    times is taken, plus every adjacent pair on a finer grid: positive maps
+    compose, so a non-positive grid map implies a non-positive adjacent one.
+    CP maps are positive, so skipping them is exact.  Returns int32 arrays.
+    """
+    n = log_lam.shape[0] - 1
+    sub = np.unique(np.round(np.linspace(0, n, min(SCREEN_GRID, n + 1))).astype(np.int32))
+    pair_i, pair_j = (sub[k] for k in np.nonzero(np.triu(np.ones((sub.size,) * 2, dtype=bool), 1)))
+    if n + 1 > SCREEN_GRID:  # every adjacent pair (i, i+1) that is not in yet, in (i, j) order
+        adj = np.setdiff1d(np.arange(n, dtype=np.int32), sub[:-1][np.diff(sub) == 1])
+        pair_i, pair_j = np.concatenate([pair_i, adj]), np.concatenate([pair_j, adj + 1])
+        pair_i, pair_j = np.stack([pair_i, pair_j])[:, np.lexsort((pair_j, pair_i))]
+    non_cp = [cp_margins(nus.T)[1] < 0 for _, nus in _pair_chunks(log_lam, pair_i, pair_j)]
+    return pair_i[np.concatenate(non_cp)], pair_j[np.concatenate(non_cp)]
+
+
+def _pair_chunks(log_lam: np.ndarray, pair_i: np.ndarray, pair_j: np.ndarray):
+    """Yield (offset, nu rows) for successive chunks of the grid pairs (i, j)."""
+    for lo in range(0, len(pair_i), _PAIR_CHUNK):
+        hi = lo + _PAIR_CHUNK
+        yield lo, np.exp(log_lam[pair_j[lo:hi]] - log_lam[pair_i[lo:hi]])
+
+
+def _best_pairs(log_lam: np.ndarray, pair_i: np.ndarray, pair_j: np.ndarray, q: np.ndarray):
+    """Per row of ``q``, the least nu . q + 1/d over the pairs and the first pair reaching it."""
+    best, where = np.full(len(q), np.inf), np.zeros(len(q), dtype=int)
+    for lo, nus in _pair_chunks(log_lam, pair_i, pair_j):
+        vals = q @ nus.T
+        k = vals.argmin(axis=1)
+        low = vals[np.arange(len(q)), k]
+        where, best = np.where(low < best, lo + k, where), np.minimum(low, best)
+    return best + 1.0 / (q.shape[1] - 1), where
+
+
+def _overlap_form(family: MubFamily, psi: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """q_a = sum_l |<b_al|psi>|^2 |<b_al|phi>|^2 - 1/d per row: for unit vectors,
+    <phi|Phi_nu(psi psi^dag)|phi> = 1/d + nu . q.  (S, d) -> (S, d+1)."""
+    d = family.dim
+    bra = family.bases.reshape(-1, d).conj().T  # <b_al| for every vector of every basis
+    both = np.abs(psi @ bra) ** 2 * np.abs(phi @ bra) ** 2
+    return both.reshape(-1, d + 1, d).sum(axis=-1) - 1.0 / d
+
+
+def _rounding_band(nus: np.ndarray) -> np.ndarray:
+    """TIE_ULPS ulps of 1 + sum|nu|, a bound on |1/d + nu . q| and on the response norm."""
+    return TIE_ULPS * np.finfo(float).eps * (1.0 + np.abs(nus).sum(axis=-1))
+
+
+def _pure_response(family: MubFamily, nus: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """Phi_nu(psi psi^dag) = V diag(nu_a |<b_al|psi>|^2) V^dag + (1 - sum nu)/d * I per row,
+    with V the d x d(d+1) matrix of all basis vectors.  (C, d+1), (C, d) -> (C, d, d)."""
+    d = family.dim
+    vecs = family.bases.reshape(-1, d)
+    weights = np.repeat(nus, d, axis=-1) * np.abs(psi @ vecs.conj().T) ** 2
+    out = (vecs.T * weights[:, None, :]) @ vecs.conj()
+    out[:, np.arange(d), np.arange(d)] += ((1.0 - nus.sum(axis=-1)) / d)[:, None]
+    return out
+
+
+def _seesaw(family: MubFamily, nus: np.ndarray, psi: np.ndarray, phi: np.ndarray,
+            steps: int) -> tuple:
+    """Lower <phi|Phi_nu(psi psi^dag)|phi> per row by see-saw steps; returns (psi, phi).
+
+    A step sets phi, then psi, to the lowest eigenvector of the other's image.
+    Phi is self-adjoint (real nu), so both halves lower the same form.  Stops
+    after ``steps`` steps, or once no row gains more than its rounding band.
+    """
+    value, band = np.inf, _rounding_band(nus)
+    for _ in range(steps):
+        phi = np.linalg.eigh(_pure_response(family, nus, psi))[1][..., 0]
+        low, vecs = np.linalg.eigh(_pure_response(family, nus, phi))
+        psi, settled, value = vecs[..., 0], np.all(low[:, 0] >= value - band), low[:, 0]
+        if settled:
+            break
+    return psi, phi
+
+
 def find_p_divisibility_witness(traj: Trajectory, family: MubFamily,
-                                attempts: int = 2000, refine_iters: int = 50,
+                                attempts: int = 64, refine_iters: int = 50,
                                 seed: int = 42) -> Witness | None:
     """Search for an intermediate map that is not a positive map.
 
@@ -495,16 +555,22 @@ def find_p_divisibility_witness(traj: Trajectory, family: MubFamily,
 
     - axis trace-norm scan: any eigenvalue trajectory that rises between two
       grid times inflates the trace norm of U_alpha + U_alpha^dag;
-    - pure-state sampling: random states are pushed through intermediate maps
-      between anchor grid times (coarse probing, then a concentrated budget on
-      the worst pairs, then coordinate-descent polish of the best state).
+    - pure-state see-saw (d > 2; at d = 2 the scan is exact): each of
+      ``attempts`` seeded start pairs (psi, phi) finds its best non-CP grid
+      pair by the linear form <phi|Phi(psi psi^dag)|phi> = 1/d + nu . q; the
+      SEESAW_CHAINS best chains take batched see-saw steps, then move to the
+      pair where their states do best, until none moves.  ``refine_iters``
+      caps the steps per round and the rounds; ``attempts = 0`` skips route 2.
 
-    Returns the largest-magnitude witness found, or None after the budget is
-    exhausted (which is inconclusive, not a proof of P-divisibility).
+    Returns the largest-magnitude witness, or None (inconclusive, not a proof
+    of P-divisibility).
     """
     d = traj.dim
     if family.dim != d:
         raise DimensionError(f"family is d={family.dim}, trajectory is d={d}")
+    if attempts < 0 or refine_iters < 0:
+        raise InvalidInputError(
+            f"attempts and refine_iters must be >= 0, got {attempts} and {refine_iters}")
     witnesses = []
 
     # Route 1: closed-form scan for rising eigenvalue trajectories.
@@ -525,81 +591,43 @@ def find_p_divisibility_witness(traj: Trajectory, family: MubFamily,
                 detail=f"axis operator U_{a + 1} + adjoint; eigenvalue ratio {ratio!r}",
             ))
 
-    # Route 2: positivity of intermediate maps on sampled pure states.
-    if attempts <= 0:
-        return max(witnesses, key=lambda w: w.magnitude) if witnesses else None
-    n = traj.steps
-    anchors = np.unique(np.round(np.linspace(0, n, min(MAX_ANCHORS, n + 1))).astype(int))
-    upper_i, upper_j = np.triu_indices(anchors.size, k=1)  # every anchor pair i < j
-    pair_i, pair_j = anchors[upper_i], anchors[upper_j]
-    log_lam = traj.log_lambdas
-    nus = np.exp(log_lam[:, pair_j] - log_lam[:, pair_i]).T  # (P, d+1)
-
-    states = random_pure_state(d, np.random.default_rng(seed), attempts)
-    n_probe = min(8, attempts)
-    eigs = _min_eig_for_pairs(family, nus, states[:n_probe])  # (S, P)
-    best_state_idx, best_pair = np.unravel_index(int(np.argmin(eigs)), eigs.shape)
-    best_eig = float(eigs[best_state_idx, best_pair])
-    best_psi = states[best_state_idx]
-
-    # the rest of the states go to the 12 pairs the probe found worst
-    top_pairs = np.argsort(eigs.min(axis=0))[:12]
-    for lo in range(n_probe, attempts, _STATE_CHUNK):
-        eigs = _min_eig_for_pairs(family, nus[top_pairs], states[lo:lo + _STATE_CHUNK])
-        s_idx, p_idx = np.unravel_index(int(np.argmin(eigs)), eigs.shape)
-        if float(eigs[s_idx, p_idx]) < best_eig:
-            best_eig = float(eigs[s_idx, p_idx])
-            best_psi = states[lo + s_idx]
-            best_pair = int(top_pairs[p_idx])
-
-    # Coordinate polish of the best candidate state on its pair.
-    nus_best = nus[[best_pair]]
-
-    def eig_of(params: np.ndarray) -> float:
-        psi = params[:d] + 1j * params[d:]
-        norm = np.linalg.norm(psi)
-        if norm < 1e-12:
-            return np.inf
-        return float(_min_eig_for_pairs(family, nus_best, (psi / norm)[None])[0, 0])
-
-    params = np.concatenate([best_psi.real, best_psi.imag])
-    step = 0.3
-    for _ in range(refine_iters):
-        improved = False
-        for coord in range(2 * d):
-            for sign in (1.0, -1.0):
-                trial = params.copy()
-                trial[coord] += sign * step
-                val = eig_of(trial)
-                if val < best_eig - 1e-15:
-                    best_eig = val
-                    params = trial
-                    improved = True
-                    break
-        if not improved:
-            step *= 0.5
-            if step < 1e-10:
+    # Route 2: see-saw for a pure state that a non-CP intermediate map sends below zero.
+    # A qubit Pauli map with nu > 0 is positive iff max nu <= 1, which route 1 decides.
+    log_lam = np.ascontiguousarray(traj.log_lambdas.T)
+    pair_i, pair_j = _screen_pairs(log_lam) if d > 2 and attempts else ((), ())
+    if len(pair_i):
+        psi, phi = np.split(random_pure_state(d, np.random.default_rng(seed), 2 * attempts), 2)
+        phi = phi - (psi.conj() * phi).sum(axis=1, keepdims=True) * psi
+        phi /= np.linalg.norm(phi, axis=1, keepdims=True)
+        value, chain = _best_pairs(log_lam, pair_i, pair_j, _overlap_form(family, psi, phi))
+        top = np.argsort(value, kind="stable")[:SEESAW_CHAINS]
+        chain, psi, phi = chain[top], psi[top], phi[top]
+        for _ in range(refine_iters):
+            nus = np.exp(log_lam[pair_j[chain]] - log_lam[pair_i[chain]])
+            psi, phi = _seesaw(family, nus, psi, phi, refine_iters)
+            q = _overlap_form(family, psi, phi)
+            value, best = _best_pairs(log_lam, pair_i, pair_j, q)
+            moved = value < 1.0 / d + (nus * q).sum(axis=1) - _rounding_band(nus)
+            if not moved.any():
                 break
-    psi = params[:d] + 1j * params[d:]
-    best_psi = psi / np.linalg.norm(psi)
-
-    # The refined state may do even better on a different pair.
-    eigs_all = _min_eig_for_pairs(family, nus, best_psi[None])[0]
-    final_pair = int(np.argmin(eigs_all))
-
-    gi, gj = int(pair_i[final_pair]), int(pair_j[final_pair])
-    v = intermediate_map(traj, gi, gj).as_channel(family)
-    certified = float(np.linalg.eigvalsh(v(np.outer(best_psi, best_psi.conj())))[0])
-    if certified < -TOL_WITNESS_EIG:
-        witnesses.append(Witness(
-            kind="positivity", s=float(traj.grid[gi]), t=float(traj.grid[gj]),
-            magnitude=-certified, state=best_psi,
-            detail="intermediate map sends a pure state to an operator with a negative eigenvalue",
-        ))
-
-    if not witnesses:
-        return None
-    return max(witnesses, key=lambda w: w.magnitude)
+            chain = np.where(moved, best, chain)
+        # the best chain's psi, on the earliest pair within rounding of its minimum
+        nus = np.exp(log_lam[pair_j[chain]] - log_lam[pair_i[chain]])
+        q = _overlap_form(family, psi, phi)
+        c = int(np.argmin((nus * q).sum(axis=1)))
+        vals = np.concatenate([rows @ q[c] for _, rows in _pair_chunks(log_lam, pair_i, pair_j)])
+        k = int(np.flatnonzero(vals <= vals.min() + _rounding_band(nus[c]))[0])
+        gi, gj, best_psi = int(pair_i[k]), int(pair_j[k]), psi[c]
+        v = intermediate_map(traj, gi, gj).as_channel(family)
+        certified = float(np.linalg.eigvalsh(v(np.outer(best_psi, best_psi.conj())))[0])
+        if certified < -TOL_WITNESS_EIG:
+            witnesses.append(Witness(
+                kind="positivity", s=float(traj.grid[gi]), t=float(traj.grid[gj]),
+                magnitude=-certified, state=best_psi,
+                detail="intermediate map sends a pure state to an operator with a negative "
+                       "eigenvalue",
+            ))
+    return max(witnesses, key=lambda w: w.magnitude, default=None)
 
 
 def check_blp(traj: Trajectory, family: MubFamily, pairs=20, seed: int = 42) -> Witness | None:
@@ -718,7 +746,7 @@ def _enforce_hierarchy(report: DivisibilityReport):
 
 def analyze(rates: RateSet, family: MubFamily | None = None, t_max: float = 5.0,
             steps: int = 400, seed: int = 42, tol: float = 1e-10,
-            witness_attempts: int = 2000, refine_iters: int = 50,
+            witness_attempts: int = 64, refine_iters: int = 50,
             blp_pairs: int = 20) -> tuple:
     """Build the trajectory and run every analyzer; returns (trajectory, report)."""
     if seed < 0:

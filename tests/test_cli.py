@@ -194,6 +194,14 @@ class TestDynamics:
         assert code == 2
         assert err.startswith(f"error: {message}") and "Traceback" not in err
 
+    @pytest.mark.parametrize("flag,value", [("--attempts", "-5"), ("--refine-iters", "-3")])
+    def test_negative_search_budget_exits_2(self, flag, value, tmp_path, capsys):
+        code, _, err = run(["dynamics", "--preset", "avg-decoherence", "--d", "3", "--steps", "40",
+                            flag, value, "--out", str(tmp_path)], capsys)
+        assert code == 2
+        assert err.startswith("error: attempts and refine_iters must be >= 0")
+        assert "Traceback" not in err
+
     def test_missing_rates_rejected(self, capsys):
         code, _, err = run(["dynamics", "--d", "2"], capsys)
         assert code == 2

@@ -12,6 +12,9 @@ from paulidyn.channel import choi_matrix
 from paulidyn.dynamics import (
     NOT_APPLICABLE,
     VIOLATED,
+    _overlap_form,
+    _pure_response,
+    _seesaw,
     analyze,
     build_trajectory,
     channel_at,
@@ -30,8 +33,8 @@ from paulidyn.dynamics import (
     weyl_rates_from_trajectory,
 )
 from paulidyn.errors import EvaluationError, InvalidInputError, QuadratureError
-from paulidyn.linalg import random_density_matrix, random_hermitian, trace_norm
-from paulidyn.mub import dephase_all
+from paulidyn.linalg import random_density_matrix, random_hermitian, random_pure_state, trace_norm
+from paulidyn.mub import dephase_all, mub_family, spectral_apply
 from paulidyn.ratefn import preset_rates, rate_set
 from tests.conftest import ALPHA_TO_PAULI, PAULI
 
@@ -603,3 +606,98 @@ def test_constant_rates_give_a_finite_report(data, d, t_max):
     _, report = analyze(preset_rates("semigroup", constants=constants), t_max=t_max,
                         steps=60, witness_attempts=50, blp_pairs=4)
     json.dumps(report.to_json_dict(), allow_nan=False)
+
+
+class TestSeesawWitnessSearch:
+    def test_short_window_gets_a_certified_witness(self, family3):
+        # the only non-positive intermediate maps lie between t = 2.05 and 2.075
+        rates = rate_set(3, ["1", "1", "1", "1 - 3*exp(0-((t-2.06)/0.02)^2)"])
+        traj, report = analyze(rates, family3, seed=42)
+        w = report.trace_norm_witness
+        assert w is not None and w.kind == "positivity"
+        assert (w.s, w.t) == pytest.approx((2.05, 2.075))
+        i, j = (int(np.argmin(np.abs(traj.grid - x))) for x in (w.s, w.t))
+        out = intermediate_map(traj, i, j).as_channel(family3)(np.outer(w.state, w.state.conj()))
+        assert np.linalg.eigvalsh(out)[0] == pytest.approx(-w.magnitude, rel=1e-9)
+        assert w.magnitude > 7e-3
+
+    def test_tied_semigroup_pairs_report_the_earliest(self, family3):
+        # in a semigroup Phi(t, s) depends on t - s only, so equal-length pairs tie
+        rates = preset_rates("semigroup", constants=(0.5, 0.5, -0.2, -0.1))
+        traj = build_trajectory(rates, t_max=5.0, steps=400)
+        w42, w7 = (find_p_divisibility_witness(traj, family3, seed=seed) for seed in (42, 7))
+        assert w42.kind == w7.kind == "positivity"
+        assert w42.s == w7.s == 0.0
+        assert w42.t == w7.t
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 7])
+    def test_overlap_response_matches_spectral_apply(self, d, rng):
+        family = mub_family(d)
+        nus = rng.uniform(-1.0, 2.0, (6, d + 1))
+        psi, phi = random_pure_state(d, rng, 6), random_pure_state(d, rng, 6)
+        response = _pure_response(family, nus, psi)
+        for c in range(6):
+            ref = spectral_apply(family, nus[c], np.outer(psi[c], psi[c].conj()))
+            assert np.abs(response[c] - ref).max() <= 1e-15
+        expectation = np.einsum("ci,cij,cj->c", phi.conj(), response, phi).real
+        linear = 1.0 / d + (nus * _overlap_form(family, psi, phi)).sum(axis=1)
+        assert np.abs(linear - expectation).max() <= 1e-15
+
+    def test_seesaw_value_never_rises(self, family3, rng):
+        traj = build_trajectory(preset_rates("avg-decoherence", d=3), t_max=5.0, steps=40)
+        nus = np.stack([intermediate_map(traj, i, 40).nus for i in (10, 20, 30)])
+        psi, phi = random_pure_state(3, rng, 3), random_pure_state(3, rng, 3)
+        values = []
+        for _ in range(30):
+            psi, phi = _seesaw(family3, nus, psi, phi, 1)
+            values.append(1.0 / 3 + (nus * _overlap_form(family3, psi, phi)).sum(axis=1))
+        assert np.diff(values, axis=0).max() <= 1e-15  # rounding only
+        assert min(values[-1]) < -1e-9
+
+    def test_seesaw_reaches_the_qubit_closed_form(self, family2, rng):
+        # min over unit psi, phi of <phi|Phi(psi psi^dag)|phi> is (1 - max nu)/2 for nu > 0
+        nus = np.array([[1.6, 0.7, 0.4], [0.3, 1.2, 0.9], [0.5, 0.2, 2.5]])
+        psi, phi = random_pure_state(2, rng, 3), random_pure_state(2, rng, 3)
+        psi, phi = _seesaw(family2, nus, psi, phi, 200)
+        value = 0.5 + (nus * _overlap_form(family2, psi, phi)).sum(axis=1)
+        assert np.abs(value - (1.0 - nus.max(axis=1)) / 2).max() <= 1e-12
+
+    def test_negative_attempts_rejected(self, family3):
+        rates = preset_rates("avg-decoherence", d=3)
+        traj = build_trajectory(rates, t_max=1.0, steps=20)
+        with pytest.raises(InvalidInputError, match="attempts"):
+            find_p_divisibility_witness(traj, family3, attempts=-5)
+        with pytest.raises(InvalidInputError, match="attempts"):
+            analyze(rates, family3, t_max=1.0, steps=20, witness_attempts=-5)
+
+    def test_negative_refine_iters_rejected(self, family3):
+        rates = preset_rates("avg-decoherence", d=3)
+        traj = build_trajectory(rates, t_max=1.0, steps=20)
+        with pytest.raises(InvalidInputError, match="refine_iters"):
+            find_p_divisibility_witness(traj, family3, refine_iters=-3)
+        with pytest.raises(InvalidInputError, match="refine_iters"):
+            analyze(rates, family3, t_max=1.0, steps=20, refine_iters=-3)
+
+
+def _rate_index(label: str) -> int:
+    return int(label.rsplit("gamma_", 1)[1])
+
+
+@given(data=st.data(), d=st.sampled_from([2, 3, 5]))
+@settings(max_examples=25, deadline=None)
+def test_permuting_the_rates_permutes_the_verdict_labels(data, d):
+    coeffs = st.floats(min_value=-1.0, max_value=1.0)
+    sources = [f"{data.draw(coeffs)!r} + {data.draw(coeffs)!r}*tanh(2*(t - 1))"
+               for _ in range(d + 1)]
+    perm = data.draw(st.permutations(range(d + 1)))
+    before, after = (
+        analyze(rate_set(d, srcs), t_max=2.0, steps=40, witness_attempts=4, refine_iters=5,
+                blp_pairs=2)[1]
+        for srcs in (sources, [sources[k] for k in perm])
+    )
+    assert [v.status for v in after.verdicts] == [v.status for v in before.verdicts]
+    # rate k+1 of the permuted set is rate perm[k]+1 of the original
+    for old, new in ((before.cp_divisible, after.cp_divisible),
+                     (before.p_necessary, after.p_necessary)):
+        assert {perm[_rate_index(v.label) - 1] + 1 for v in new.violations} == \
+            {_rate_index(v.label) for v in old.violations}

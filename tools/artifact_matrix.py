@@ -3,8 +3,9 @@
 Runs the command in-process for every case of the ROADMAP preset matrix
 (eternal-qubit; eternal-general, avg-decoherence and four semigroup constant
 sets at d in {2, 3, 5, 7}; eternal-general and avg-decoherence at d in
-{11, 13}), a few d=2 tanh rate sets and one 10^4-step grid, each with seeds
-42 and 7, and prints one line per case::
+{11, 13}), a few d=2 tanh rate sets, one 10^4-step grid and one d=3 rate
+with a 0.02-wide dip (a non-positive intermediate map between two nearby grid
+times), each with seeds 42 and 7, and prints one line per case::
 
     <case> <sha256 of report.json> <sha256 of trajectory.csv>
 
@@ -71,6 +72,9 @@ def cases():
                             for (a, b, c, e) in params])
     yield ("eternal-general-d3-t10-n10000",
            ["--preset=eternal-general", "--d=3", "--t-max=10", "--steps=10000"])
+    # not positive between t = 2.05 and 2.075 only
+    yield ("short-window-d3",
+           ["--d=3"] + ["--gamma=1"] * 3 + ["--gamma=1 - 3*exp(0-((t-2.06)/0.02)^2)"])
 
 
 def sha256(path: Path) -> str:
