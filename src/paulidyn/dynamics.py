@@ -50,7 +50,9 @@ TOL_WITNESS_EIG = 1e-9
 #: a trace-norm witness must grow the norm by this relative amount
 TOL_WITNESS_NORM = 1e-9
 #: a BLP rise must also exceed this many ulps of d * (initial trace distance);
-#: the evolved distance carries rounding error of that size once it has decayed
+#: the evolved distance carries rounding error of that size once it has decayed;
+#: an axis block of a BLP pair below this many ulps of d * ||delta||_F is the
+#: rounding residue of axis_blocks and counts as zero
 BLP_ROUNDING_FLOOR = 64
 #: the witness search pairs at most this many grid times with each other
 SCREEN_GRID = 401
@@ -159,9 +161,17 @@ class IntermediateMap:
 
 
 def intermediate_map(traj: Trajectory, i: int, j: int) -> IntermediateMap:
+    """The map from grid time i to grid time j.  A ratio beyond the double
+    range (lambda underflowed and then recovered) raises :class:`EvaluationError`."""
     if not 0 <= i <= j <= traj.steps:
         raise InvalidInputError(f"need 0 <= i <= j <= {traj.steps}, got ({i}, {j})")
-    nus = np.exp(traj.log_lambdas[:, j] - traj.log_lambdas[:, i])
+    with np.errstate(over="ignore"):
+        nus = np.exp(traj.log_lambdas[:, j] - traj.log_lambdas[:, i])
+    if not np.isfinite(nus).all():
+        a = int(np.argmin(np.isfinite(nus)))
+        raise EvaluationError(
+            f"eigenvalue ratio lambda_{a + 1}(t)/lambda_{a + 1}(s) overflows for "
+            f"s={float(traj.grid[i])!r}, t={float(traj.grid[j])!r}")
     return IntermediateMap(dim=traj.dim, s=float(traj.grid[i]), t=float(traj.grid[j]),
                            nus=_freeze(nus))
 
@@ -463,7 +473,8 @@ def _axis_scan(traj: Trajectory):
     a, rel_j = np.unravel_index(int(np.argmax(log_ratios)), log_ratios.shape)
     j = rel_j + 1
     i = int(np.argmin(log_lam[a, :j]))
-    return float(np.exp(log_ratios[a, rel_j])), int(a), i, int(j)
+    with np.errstate(over="ignore"):  # an infinite ratio fails in intermediate_map
+        return float(np.exp(log_ratios[a, rel_j])), int(a), i, int(j)
 
 
 def _screen_pairs(log_lam: np.ndarray) -> tuple:
@@ -630,14 +641,61 @@ def find_p_divisibility_witness(traj: Trajectory, family: MubFamily,
     return max(witnesses, key=lambda w: w.magnitude, default=None)
 
 
+def _trace_distances(traj: Trajectory, family: MubFamily, delta: np.ndarray) -> np.ndarray:
+    """||X(t)||_1 at every grid time for the orbit X(t) = sum_a lambda_a(t) B_a(delta).
+
+    ``delta`` is traceless and Hermitian up to rounding.  Axis blocks below
+    the rounding residue of :func:`axis_blocks` count as zero.  With one axis
+    a left, ||X||_1 = lambda_a ||B_a||_1, read off the diagonal of B_a in
+    basis a.  At d <= 3, X has at most three nonzero
+    eigenvalues, the roots of x^3 - p x - c with p = Tr X^2 / 2 and
+    c = Tr X^3 / 3, so ||X||_1 = 4 sqrt(p/3) cos(arccos(r) / 3) with
+    r = 3 sqrt(3) |c| / (2 p^(3/2)); c = 0 at d = 2.  The blocks are
+    Hilbert-Schmidt orthogonal, so p is a weighted sum of lambda_a^2, and c
+    is a cubic form in lambda.  Both are formed from lambda_a ||B_a||_F over
+    its largest value at each time, taken in log space, so neither lambda^2
+    nor p^(3/2) underflows while lambda is a normal double.  Other orbits
+    (d >= 5) are evolved and go through ``eigvalsh``.
+    """
+    d = traj.dim
+    blocks = axis_blocks(family, delta)
+    norms = np.linalg.norm(blocks, axis=(-2, -1))
+    residue = BLP_ROUNDING_FLOOR * np.finfo(float).eps * d * np.linalg.norm(norms)
+    live = np.flatnonzero(norms > residue)
+    if live.size <= 1:  # X = lambda_a B_a (or 0), and B_a is diagonal in basis a
+        vecs = family.bases[live]
+        diag = np.einsum("kli,ij,klj->kl", vecs.conj(), delta, vecs).real
+        return np.abs(diag - np.trace(delta).real / d).sum(axis=1) @ traj.lambdas[live]
+    if d > 3:
+        orbit = evolve_operator(traj, family, delta)
+        orbit = 0.5 * (orbit + np.conj(np.swapaxes(orbit, -1, -2)))
+        return np.abs(np.linalg.eigvalsh(orbit)).sum(axis=1)
+    log_w = traj.log_lambdas[live].T + np.log(norms[live])
+    top = log_w.max(axis=1)
+    y = np.exp(log_w - top[:, None])  # (N+1, k), largest entry 1 per row
+    p = 0.5 * (y * y).sum(axis=1)
+    dists = np.exp(top) * 2.0 * np.sqrt(p)  # ||X||_1 when c = 0
+    if d == 3:
+        unit = blocks[live] / norms[live, None, None]
+        cube = np.einsum("aij,bjk,cki->abc", unit, unit, unit).real  # Re Tr(B_a B_b B_c)
+        outer = (y[:, :, None] * y[:, None, :]).reshape(len(y), -1)
+        c = np.einsum("ta,ta->t", outer @ cube.reshape(-1, live.size), y) / 3.0
+        r = np.minimum(1.0, 3.0 * math.sqrt(3.0) * np.abs(c) / (2.0 * p ** 1.5))
+        dists *= 2.0 / math.sqrt(3.0) * np.cos(np.arccos(r) / 3.0)
+    return dists
+
+
 def check_blp(traj: Trajectory, family: MubFamily, pairs=20, seed: int = 42) -> Witness | None:
     """Probe the trace distance of evolved state pairs for back-flow.
 
     ``pairs`` is either a count of sampled density-matrix pairs or an explicit
-    list of (rho1, rho2) tuples.  Returns the largest relative increase found
-    between consecutive grid times, or None.  A rise counts only when it
-    exceeds ``BLP_ROUNDING_FLOOR`` ulps of d times the initial distance, so a
+    list of (rho1, rho2) tuples of equal trace.  Returns the largest relative
+    increase found between consecutive grid times, or None; among rises
+    within ``TIE_ULPS`` ulps of the largest, the earliest pair, then the
+    earliest step, is reported.  A rise counts only when it exceeds
+    ``BLP_ROUNDING_FLOOR`` ulps of d times the initial distance, so a
     distance that has decayed into rounding noise cannot fake back-flow.
+    Distances come from :func:`_trace_distances`.
     """
     d = traj.dim
     if isinstance(pairs, int):
@@ -653,23 +711,25 @@ def check_blp(traj: Trajectory, family: MubFamily, pairs=20, seed: int = 42) -> 
     else:
         pair_list = list(pairs)
 
-    best = None
-    for rho1, rho2 in pair_list:
-        delta = as_square_matrix(rho1) - as_square_matrix(rho2)
-        orbit = evolve_operator(traj, family, delta)
-        orbit = 0.5 * (orbit + np.conj(np.swapaxes(orbit, -1, -2)))
-        dists = np.abs(np.linalg.eigvalsh(orbit)).sum(axis=1)
+    deltas = [as_square_matrix(rho1) - as_square_matrix(rho2) for rho1, rho2 in pair_list]
+    rel = np.zeros((len(deltas), traj.steps))
+    for delta, row in zip(deltas, rel):
+        if abs(np.trace(delta)) > TOL_CONDITION:
+            raise InvalidInputError("the two states of a BLP pair must have equal traces")
+        dists = _trace_distances(traj, family, delta)
         rise = np.diff(dists)
-        floor = BLP_ROUNDING_FLOOR * np.finfo(float).eps * d * dists[0]
-        rel = np.where(rise > floor, rise / np.maximum(dists[:-1], 1e-300), 0.0)
-        idx = int(np.argmax(rel))
-        if rel[idx] > TOL_WITNESS_NORM and (best is None or rel[idx] > best.magnitude):
-            best = Witness(
-                kind="blp", s=float(traj.grid[idx]), t=float(traj.grid[idx + 1]),
-                magnitude=float(rel[idx]), operator=delta,
-                detail="trace distance of an evolved state pair increased",
-            )
-    return best
+        above = rise > BLP_ROUNDING_FLOOR * np.finfo(float).eps * d * dists[0]
+        row[above] = rise[above] / np.maximum(dists[:-1][above], 1e-300)
+    top = float(rel.max(initial=0.0))
+    if top <= TOL_WITNESS_NORM:
+        return None
+    tied = rel >= top - TIE_ULPS * np.finfo(float).eps * (1.0 + top)
+    k, idx = divmod(int(np.flatnonzero(tied)[0]), traj.steps)
+    return Witness(
+        kind="blp", s=float(traj.grid[idx]), t=float(traj.grid[idx + 1]),
+        magnitude=float(rel[k, idx]), operator=deltas[k],
+        detail="trace distance of an evolved state pair increased",
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -183,6 +183,15 @@ class TestDynamics:
         assert code == 3
         assert err == "error: map eigenvalue lambda_3 overflows at t=9.0\n"
 
+    @pytest.mark.parametrize("budget", [[], ["--attempts", "0"]])
+    def test_overflowing_eigenvalue_ratio_exits_3(self, budget, tmp_path, capsys):
+        # lambda_1 underflows to 0 near t = 2.5 and recovers: lambda_1(5)/lambda_1(2.5) > 1e308
+        code, _, err = run(["dynamics", "--d", "3", *["--gamma=200*tanh(3*(2.5-t))"] * 3,
+                            "--gamma=1", *budget, "--out", str(tmp_path)], capsys)
+        assert code == 3
+        assert err == ("error: eigenvalue ratio lambda_1(t)/lambda_1(s) overflows "
+                       "for s=2.5, t=5.0\n")
+
     @pytest.mark.parametrize("flag,value,message", [
         ("--seed", "-1", "seed must be >= 0"),
         ("--tol", "nan", "tol must be positive and finite"),

@@ -4,17 +4,19 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from paulidyn.channel import choi_matrix
 from paulidyn.dynamics import (
+    BLP_ROUNDING_FLOOR,
     NOT_APPLICABLE,
     VIOLATED,
     _overlap_form,
     _pure_response,
     _seesaw,
+    _trace_distances,
     analyze,
     build_trajectory,
     channel_at,
@@ -34,7 +36,7 @@ from paulidyn.dynamics import (
 )
 from paulidyn.errors import EvaluationError, InvalidInputError, QuadratureError
 from paulidyn.linalg import random_density_matrix, random_hermitian, random_pure_state, trace_norm
-from paulidyn.mub import dephase_all, mub_family, spectral_apply
+from paulidyn.mub import axis_blocks, dephase_all, mub_family, spectral_apply
 from paulidyn.ratefn import preset_rates, rate_set
 from tests.conftest import ALPHA_TO_PAULI, PAULI
 
@@ -512,6 +514,109 @@ class TestBlp:
         pair = (family2.projector(1, 0), family2.projector(1, 1))
         assert check_blp(traj, family2, pairs=[pair]) is None
 
+    def test_pair_of_unequal_traces_rejected(self, family2):
+        traj = build_trajectory(preset_rates("eternal-qubit"), t_max=2.0, steps=40)
+        pair = (family2.projector(1, 0), 2.0 * family2.projector(1, 1))
+        with pytest.raises(InvalidInputError, match="equal traces"):
+            check_blp(traj, family2, pairs=[pair])
+
+    def test_tied_semigroup_rises_report_the_earliest(self, family3):
+        # in a semigroup every step scales lambda_1 by the same factor, so the rises tie
+        rates = preset_rates("semigroup", constants=(2.0, -0.05, -0.05, -0.05))
+        traj = build_trajectory(rates, t_max=5.0, steps=400)
+        w42, w7 = (check_blp(traj, family3, seed=seed) for seed in (42, 7))
+        assert (w42.s, w42.t) == (w7.s, w7.t) == (0.0, traj.grid[1])
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_no_eigensolver_at_d_up_to_3(self, d, monkeypatch):
+        family = mub_family(d)
+        traj = _tanh_trajectory(d, seed=3)
+        expected = check_blp(traj, family)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("check_blp called an eigensolver")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        assert expected is not None
+        assert check_blp(traj, family).to_json_dict() == expected.to_json_dict()
+
+
+def _tanh_trajectory(d: int, seed: int, t_max: float = 5.0, steps: int = 200):
+    """A seeded rate set a + b*tanh(c*(t - e)) per rate, as in criterion 9."""
+    rng = np.random.default_rng(seed)
+    sources = [f"{rng.uniform(-0.6, 1.2)!r} + {rng.uniform(-1.0, 1.0)!r}*"
+               f"tanh({rng.uniform(0.3, 2.0)!r}*(t - {rng.uniform(0.0, 4.0)!r}))"
+               for _ in range(d + 1)]
+    return build_trajectory(rate_set(d, sources), t_max=t_max, steps=steps)
+
+
+class TestClosedFormTraceDistance:
+    """``_trace_distances`` against ``np.abs(eigvalsh(orbit)).sum(-1)``, within 1e-13 of
+    the orbit's Frobenius norm at every grid time."""
+
+    @staticmethod
+    def antipodal(family):
+        return [family.projector(a, 0) - family.projector(a, 1) for a in range(1, family.dim + 2)]
+
+    @staticmethod
+    def random_pairs(family, seed):
+        rhos = random_density_matrix(family.dim, np.random.default_rng(seed), 16)
+        return list(rhos[0::2] - rhos[1::2])
+
+    @staticmethod
+    def orbit(traj, family, delta):
+        """X(t) = sum_a lambda_a(t) B_a(delta), the image of delta without its trace part."""
+        return np.tensordot(traj.lambdas.T, axis_blocks(family, delta), axes=1)
+
+    @staticmethod
+    def assert_matches(traj, family, delta, orbit):
+        ref = np.abs(np.linalg.eigvalsh(orbit)).sum(axis=-1)
+        scale = np.abs(orbit).max(axis=(-2, -1), keepdims=True)  # |orbit|^2 underflows
+        frobenius = scale[:, 0, 0] * np.linalg.norm(orbit / scale, axis=(-2, -1))
+        assert np.all(np.abs(_trace_distances(traj, family, delta) - ref) <= 1e-13 * frobenius)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_pairs_match_eigvalsh_of_the_orbit(self, d, seed):
+        family = mub_family(d)
+        traj = _tanh_trajectory(d, seed)
+        for delta in self.random_pairs(family, seed):
+            self.assert_matches(traj, family, delta, self.orbit(traj, family, delta))
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 7, 11, 13])
+    def test_antipodal_pairs_are_2_lambda(self, d):
+        # the orbit of P_a0 - P_a1 is lambda_a (P_a0 - P_a1), plus the rounding residue of
+        # axis_blocks on the other axes, ~d ulps of the largest lambda
+        family = mub_family(d)
+        traj = _tanh_trajectory(d, seed=d)
+        eps = np.finfo(float).eps
+        for a, delta in enumerate(self.antipodal(family)):
+            exact = traj.lambdas[a][:, None, None] * delta
+            residue = BLP_ROUNDING_FLOOR * eps * d * traj.lambdas.max(axis=0)
+            orbit = self.orbit(traj, family, delta)
+            assert np.all(np.linalg.norm(orbit - exact, axis=(-2, -1)) <= residue)
+            self.assert_matches(traj, family, delta, exact)
+            assert np.allclose(_trace_distances(traj, family, delta), 2.0 * traj.lambdas[a],
+                               rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("d,constants,t_max", [
+        (2, (20.0, 21.0, 22.0), 11.0),
+        (3, (15.0, 16.0, 17.0, 18.0), 10.0),
+    ])
+    def test_lambda_down_to_1e_200_has_no_spurious_rise(self, d, constants, t_max):
+        # lambda^2 and p^(3/2) underflow to 0 long before lambda does
+        family = mub_family(d)
+        traj = build_trajectory(preset_rates("semigroup", constants=constants),
+                                t_max=t_max, steps=400)
+        assert 1e-300 < traj.lambdas.min() < traj.lambdas[:, -1].max() < 1e-190
+        for delta in self.antipodal(family) + self.random_pairs(family, seed=1):
+            dists = _trace_distances(traj, family, delta)
+            assert np.all(dists > 0) and np.all(np.diff(dists) < 0)
+        for delta in self.random_pairs(family, seed=1):
+            self.assert_matches(traj, family, delta, self.orbit(traj, family, delta))
+        assert check_blp(traj, family) is None
+
 
 class TestAnalyzeAndExports:
     def test_analyze_eternal_qubit_report(self, family2):
@@ -677,6 +782,26 @@ class TestSeesawWitnessSearch:
             find_p_divisibility_witness(traj, family3, refine_iters=-3)
         with pytest.raises(InvalidInputError, match="refine_iters"):
             analyze(rates, family3, t_max=1.0, steps=20, refine_iters=-3)
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_qubit_witness_iff_a_pair_sum_is_negative(data):
+    # a qubit Pauli map with lambda > 0 is positive iff every lambda <= 1 (Fujiwara and
+    # Algoet, PRA 59, 3290 (1999)); lambda_c rises exactly where the pair sum of the other
+    # two rates, gamma_a + gamma_b = -mu_c, is negative.  Sums within 0.02 of zero are not
+    # judged.
+    params = [tuple(data.draw(st.floats(lo, hi, allow_subnormal=False))
+                    for lo, hi in ((-0.6, 1.2), (-1.0, 1.0), (0.3, 2.0), (0.0, 4.0)))
+              for _ in range(3)]
+    rates = rate_set(2, [f"{a!r} + {b!r}*tanh({c!r}*(t - {e!r}))" for a, b, c, e in params])
+    traj, report = analyze(rates, t_max=5.0, steps=120)
+    g = traj.gammas
+    pair_min = min((g[a] + g[b]).min() for a, b in ((0, 1), (1, 2), (0, 2)))
+    assume(abs(pair_min) >= 0.02)
+    assert (report.trace_norm_witness is not None) == (pair_min < 0)
+    if pair_min > 0:
+        assert report.blp_witness is None
 
 
 def _rate_index(label: str) -> int:

@@ -3,9 +3,11 @@
 Runs the command in-process for every case of the ROADMAP preset matrix
 (eternal-qubit; eternal-general, avg-decoherence and four semigroup constant
 sets at d in {2, 3, 5, 7}; eternal-general and avg-decoherence at d in
-{11, 13}), a few d=2 tanh rate sets, one 10^4-step grid and one d=3 rate
-with a 0.02-wide dip (a non-positive intermediate map between two nearby grid
-times), each with seeds 42 and 7, and prints one line per case::
+{11, 13}), a few d=2 tanh rate sets, one d=3 tanh set whose BLP witness
+comes from a random state pair, one 10^4-step grid, one d=3 rate with a
+0.02-wide dip (a non-positive intermediate map between two nearby grid
+times) and one d=3 set whose eigenvalue ratio overflows, each with seeds 42
+and 7, and prints one line per case::
 
     <case> <sha256 of report.json> <sha256 of trajectory.csv>
 
@@ -42,6 +44,15 @@ TANH_SETS = (
     ((0.2, 0.1, 0.4, 0.0), (0.9, -1.0, 1.1, 2.2), (-0.2, 0.6, 0.6, 1.2)),
 )
 
+# a legitimate d=3 map whose largest BLP rise, for seeds 42 and 7, is on a random pair
+TANH_RANDOM_PAIR_D3 = ((-0.2, -0.2, 1.6, 3.9), (1.1, 0.1, 0.9, 2.7), (1.0, 0.2, 0.6, 0.2),
+                       (-0.2, -0.9, 1.9, 3.7))
+
+
+def tanh_argv(params) -> list:
+    """--gamma flags for rates a + b*tanh(c*(t - e))."""
+    return [f"--gamma={a!r} + {b!r}*tanh({c!r}*(t - {e!r}))" for (a, b, c, e) in params]
+
 
 def semigroup_sets(d: int) -> dict:
     """Constant-rate sets with no, one, two and d negative rates."""
@@ -67,14 +78,15 @@ def cases():
     # large rates: lambda underflows to 0 for t > ~7.5
     yield "semigroup-large-d2-t10", ["--preset=semigroup", "--c=50,50,50", "--t-max=10"]
     for k, params in enumerate(TANH_SETS, 1):
-        yield (f"tanh{k}-d2",
-               ["--d=2"] + [f"--gamma={a!r} + {b!r}*tanh({c!r}*(t - {e!r}))"
-                            for (a, b, c, e) in params])
+        yield f"tanh{k}-d2", ["--d=2"] + tanh_argv(params)
+    yield "tanh-random-pair-d3", ["--d=3"] + tanh_argv(TANH_RANDOM_PAIR_D3)
     yield ("eternal-general-d3-t10-n10000",
            ["--preset=eternal-general", "--d=3", "--t-max=10", "--steps=10000"])
     # not positive between t = 2.05 and 2.075 only
     yield ("short-window-d3",
            ["--d=3"] + ["--gamma=1"] * 3 + ["--gamma=1 - 3*exp(0-((t-2.06)/0.02)^2)"])
+    # lambda_1 underflows to 0 and recovers: lambda_1(5)/lambda_1(2.5) exceeds the double range
+    yield "overflow-ratio-d3", ["--d=3"] + ["--gamma=200*tanh(3*(2.5-t))"] * 3 + ["--gamma=1"]
 
 
 def sha256(path: Path) -> str:
