@@ -23,13 +23,7 @@ import numpy as np
 
 from . import channel as channel_mod
 from . import dynamics as dyn
-from .errors import (
-    EvaluationError,
-    InvalidInputError,
-    PaulidynError,
-    ParseError,
-    QuadratureError,
-)
+from .errors import InvalidInputError, PaulidynError
 from .mub import is_prime, mub_family, unbiasedness_table
 from .ratefn import PRESET_NAMES, PRESET_SUMMARIES, preset_rates, rate_set
 
@@ -225,9 +219,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ParseError, EvaluationError, QuadratureError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

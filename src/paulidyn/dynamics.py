@@ -111,8 +111,9 @@ def build_trajectory(rates: RateSet, t_max: float, steps: int = 400,
 
     Per rate, one array call samples it on the grid and integrates every
     subinterval to ``tol / steps`` in one adaptive-Simpson pass, so the
-    accumulated error stays below ``tol``.  A map eigenvalue that overflows
-    raises :class:`EvaluationError` naming it and the first such grid time.
+    accumulated error stays below ``tol``.  A map eigenvalue that overflows,
+    or a log eigenvalue G_alpha - G beyond the double range, raises
+    :class:`EvaluationError` naming it and the first such grid time.
     """
     if not (math.isfinite(t_max) and t_max > 0):
         raise InvalidInputError(f"t_max must be positive and finite, got {t_max!r}")
@@ -127,11 +128,16 @@ def build_trajectory(rates: RateSet, t_max: float, steps: int = 400,
             gammas[a], big[a] = running_integral(expr, grid, tol / steps)
         except QuadratureError as exc:
             raise QuadratureError(f"rate gamma_{a + 1} failed: {exc}") from exc
-    with np.errstate(over="ignore"):
-        lambdas = np.exp(big - big.sum(axis=0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_lambdas = big - big.sum(axis=0)
+        lambdas = np.exp(log_lambdas)
     if not np.isfinite(lambdas).all():
         i, a = np.argwhere(~np.isfinite(lambdas.T))[0]  # first grid time, then first axis
         raise EvaluationError(f"map eigenvalue lambda_{a + 1} overflows at t={float(grid[i])!r}")
+    if not np.isfinite(log_lambdas).all():
+        i, a = np.argwhere(~np.isfinite(log_lambdas.T))[0]
+        raise EvaluationError(f"log lambda_{a + 1} = G_{a + 1} - G leaves the double range "
+                              f"at t={float(grid[i])!r}")
     return Trajectory(
         dim=d, grid=_freeze(grid), gammas=_freeze(gammas),
         big_gammas=_freeze(big), lambdas=_freeze(lambdas),

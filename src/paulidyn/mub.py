@@ -23,9 +23,6 @@ from .errors import (
 )
 from .linalg import KrausMap, as_square_matrix
 
-#: amplitudes below this are treated as zero when fixing eigenvector phases
-_PHASE_FIX_TOL = 1e-10
-
 
 def is_prime(n: int) -> bool:
     if n < 2:
@@ -146,56 +143,31 @@ class MubFamily:
         }
 
 
-def _phase_fixed(vec: np.ndarray) -> np.ndarray:
-    """Rotate a unit vector so its first non-negligible amplitude is real positive."""
-    idx = np.flatnonzero(np.abs(vec) > _PHASE_FIX_TOL)
-    if idx.size == 0:
-        raise InternalConsistencyError("eigenvector has no nonzero amplitude")
-    pivot = vec[idx[0]]
-    return vec * (pivot.conj() / abs(pivot))
-
-
-def _sorted_eigenbasis(g: np.ndarray, d: int) -> np.ndarray:
-    """Eigenvectors of a unitary with spectrum {c * omega**l}, sorted by l.
-
-    The spectrum is non-degenerate and equally spaced on the unit circle, so
-    each eigenvalue snaps onto a unique multiple of 2*pi/d above the smallest
-    phase; that multiple orders the vectors.
-    """
-    vals, vecs = np.linalg.eig(g)
-    theta = np.mod(np.angle(vals), 2.0 * np.pi)
-    ranks = np.rint((theta - theta.min()) * d / (2.0 * np.pi)).astype(int) % d
-    if sorted(ranks) != list(range(d)):
-        raise InternalConsistencyError("eigenvalue phases of a Weyl operator did not separate")
-    out = np.zeros((d, d), dtype=complex)
-    for col, r in enumerate(ranks):
-        v = vecs[:, col]
-        out[r] = _phase_fixed(v / np.linalg.norm(v))
-    return out
-
-
 def mub_family(d: int) -> MubFamily:
-    """Build the complete MUB family for prime ``d`` from Weyl eigenbases.
+    """The complete MUB family for prime ``d``, in closed form (Ivanovic 1981;
+    Wootters & Fields 1989).
 
-    Raises :class:`UnsupportedDimensionError` for non-prime ``d`` (the
-    prime-power field construction is not implemented here).
+    Basis 1 is the computational basis, with U_1 = Z.  Vector l of basis k+2
+    (k = 0..d-1) has amplitudes c_m = zeta_k**(-m) omega**(k m(m-1)/2 - l m) / sqrt(d),
+    the eigenvector of X Z^k at zeta_k omega**l, where zeta_k = 1 for odd d and
+    i**k for d = 2.  So c_0 is real positive, the vectors come in
+    eigenvalue-phase order, and U_{k+2} = X Z^k / zeta_k has spectrum exactly
+    {omega**l}.  Non-prime ``d`` raises :class:`UnsupportedDimensionError`
+    (the prime-power field construction is not implemented here).
     """
     basis = weyl_basis(d)
     if not is_prime(basis.dim):
-        raise UnsupportedDimensionError(
-            f"complete MUB construction requires prime d, got {d}"
-        )
-    classes = commuting_classes(basis)
-    omega = basis.omega
-    bases = np.zeros((d + 1, d, d), dtype=complex)
-    unitaries = np.zeros((d + 1, d, d), dtype=complex)
-    for a, cls in enumerate(classes):
-        k, l = cls[0]  # orbit seed: Z or XZ^k
-        vectors = _sorted_eigenbasis(basis.operators[k, l], d)
-        bases[a] = vectors
-        unitaries[a] = sum(
-            omega**m * np.outer(vectors[m], vectors[m].conj()) for m in range(d)
-        )
+        raise UnsupportedDimensionError(f"complete MUB construction requires prime d, got {d}")
+    omega, r = basis.omega, np.arange(d)
+    # the powers weyl_basis uses, made exactly conjugate-symmetric: omega^-r = conj(omega^r)
+    roots = np.where(2 * r > d, np.conj(omega ** (d - r)), omega ** r)
+    zeta = np.array([1.0, 1j]) if d == 2 else np.ones(d)
+    k, l, m = np.ogrid[:d, :d, :d]
+    bases = np.empty((d + 1, d, d), dtype=complex)
+    bases[0] = np.eye(d)
+    bases[1:] = zeta[k] ** -m * roots[(k * m * (m - 1) // 2 - l * m) % d] / np.sqrt(d)
+    unitaries = np.concatenate((basis.operators[1, :1],  # Z = W_{1,0}
+                                basis.operators[:, 1] / zeta[:, None, None]))  # X Z^k = W_{k,1}
     bases.setflags(write=False)
     unitaries.setflags(write=False)
     return MubFamily(dim=d, bases=bases, unitaries=unitaries, omega=omega)

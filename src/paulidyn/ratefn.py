@@ -294,6 +294,7 @@ def integrate(expr: RateExpr, t0: float, t1: float, tol: float = 1e-10) -> float
     return float(running_integral(expr, np.array([float(t0), float(t1)]), tol)[1][1])
 
 
+@np.errstate(over="ignore", invalid="ignore")  # sums beyond the double range raise below
 def running_integral(expr: RateExpr, grid: np.ndarray, tol: float) -> tuple:
     """(values, integral from grid[0]) of the rate on an increasing grid.
 
@@ -303,6 +304,8 @@ def running_integral(expr: RateExpr, grid: np.ndarray, tol: float) -> tuple:
     delta/15) and bisects the rest with tol halved.  As in the recursive rule,
     a path may take 48 levels and a step 100k bisections.  Level values are
     folded back in tree order, so each step sums as the recursion sums it.
+    A Simpson sum or running integral beyond the double range raises
+    :class:`QuadratureError`.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise InvalidInputError("tol must be positive and finite")
@@ -324,9 +327,12 @@ def running_integral(expr: RateExpr, grid: np.ndarray, tol: float) -> tuple:
             break
         spent += np.bincount(owner[split], minlength=spent.size)
         broke = split & (spent[owner] >= 100_000)
-        k = int(np.argmax(broke if broke.any() else split))
+        overflow = ~np.isfinite(delta)
+        k = int(np.argmax(overflow if overflow.any() else broke if broke.any() else split))
         where = "[{!r}, {!r}] of [{!r}, {!r}]".format(
             *map(float, (a[k], b[k], grid[owner[k]], grid[owner[k] + 1])))
+        if overflow.any():
+            raise QuadratureError(f"adaptive Simpson sums overflow the double range on {where}")
         if depth == 48:
             raise QuadratureError(
                 f"adaptive Simpson failed to converge on {where} (residual {abs(delta[k]):.3e})"
@@ -346,7 +352,12 @@ def running_integral(expr: RateExpr, grid: np.ndarray, tol: float) -> tuple:
     for value, split in reversed(levels[:-1]):
         value[split] = total[0::2] + total[1::2]
         total = value
-    return f, np.cumsum(np.r_[0.0, total])
+    integral = np.cumsum(np.r_[0.0, total])
+    if not np.isfinite(integral[-1]):
+        i = int(np.argmin(np.isfinite(integral)))
+        raise QuadratureError(
+            f"running integral overflows the double range at t={float(grid[i])!r}")
+    return f, integral
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +414,8 @@ def preset_rates(name: str, d: int | None = None, constants=None) -> RateSet:
         if constants is None:
             raise InvalidInputError("semigroup requires the constants c_1..c_{d+1}")
         values = [float(c) for c in constants]
+        if not all(math.isfinite(c) for c in values):
+            raise InvalidInputError(f"semigroup constants must be finite, got {values!r}")
         dim = len(values) - 1
         if d is not None and d != dim:
             raise InvalidInputError(f"semigroup got {len(values)} constants but d={d}")

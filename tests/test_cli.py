@@ -192,6 +192,26 @@ class TestDynamics:
         assert err == ("error: eigenvalue ratio lambda_1(t)/lambda_1(s) overflows "
                        "for s=2.5, t=5.0\n")
 
+    @pytest.mark.parametrize("constants,message", [
+        ("1e308,1,1", "error: rate gamma_1 failed: adaptive Simpson sums overflow the double "
+                      "range on [0.0, 0.0125] of [0.0, 0.0125]\n"),
+        ("2e307,2e307,2e307", "error: log lambda_1 = G_1 - G leaves the double range at t=3.0\n"),
+    ])
+    def test_rate_integrals_beyond_double_range_exit_3(self, constants, message, tmp_path,
+                                                       capsys):
+        code, _, err = run(["dynamics", "--preset", "semigroup", "--c", constants,
+                            "--out", str(tmp_path)], capsys)
+        assert code == 3
+        assert err == message
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("constants", ["nan,1,1", "1,inf,1", "1,1,-inf"])
+    def test_non_finite_semigroup_constants_exit_2(self, constants, tmp_path, capsys):
+        code, _, err = run(["dynamics", "--preset", "semigroup", "--c", constants,
+                            "--out", str(tmp_path)], capsys)
+        assert code == 2
+        assert "semigroup constants must be finite" in err
+
     @pytest.mark.parametrize("flag,value,message", [
         ("--seed", "-1", "seed must be >= 0"),
         ("--tol", "nan", "tol must be positive and finite"),

@@ -137,6 +137,16 @@ class TestBuildTrajectory:
                              t_max=10.0, steps=50)
         assert str(err.value) == f"map eigenvalue lambda_3 overflows at t={first!r}"
 
+    def test_overflowing_total_integral_names_first_grid_time(self):
+        # each G_a = 2e307 t is finite, their sum G passes 1.8e308 at t = 3
+        with pytest.raises(EvaluationError) as err:
+            build_trajectory(preset_rates("semigroup", constants=(2e307,) * 3), t_max=5.0)
+        assert str(err.value) == "log lambda_1 = G_1 - G leaves the double range at t=3.0"
+
+    def test_overflowing_simpson_sum_names_the_rate(self):
+        with pytest.raises(QuadratureError, match="gamma_1 failed: .* overflow the double range"):
+            build_trajectory(preset_rates("semigroup", constants=(1e308, 1, 1)), t_max=5.0)
+
     @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
     def test_tolerance_must_be_positive_and_finite(self, tol):
         with pytest.raises(InvalidInputError, match="tol"):

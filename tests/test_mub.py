@@ -324,3 +324,47 @@ class TestSpectralKernel:
         x0 = np.trace(xs, axis1=-2, axis2=-1) / d
         rebuilt = x0[:, None, None] * np.eye(d) + blocks.sum(axis=1)
         assert np.abs(rebuilt - xs).max() <= 1e-12
+
+
+PRIMES_TO_31 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
+
+
+class TestClosedFormFamily:
+    """Basis k+2 is the eigenbasis of X Z^k, vector l at eigenvalue zeta_k omega^l,
+    with zeta_k = 1 for odd d and i^k for d = 2; U_alpha is the seed over zeta_k."""
+
+    @staticmethod
+    def zeta(d):
+        return np.array([1.0, 1j]) if d == 2 else np.ones(d)
+
+    @pytest.mark.parametrize("d", PRIMES_TO_31)
+    def test_vector_l_has_eigenvalue_zeta_omega_l(self, d):
+        wb, fam, zeta = weyl_basis(d), mub_family(d), self.zeta(d)
+        for k in range(d):
+            seed = wb.op(k, 1)  # X Z^k
+            for l, v in enumerate(fam.basis_vectors(k + 2)):
+                assert np.abs(seed @ v - zeta[k] * wb.omega**l * v).max() <= 1e-15
+        for l, v in enumerate(fam.basis_vectors(1)):
+            assert np.abs(wb.op(1, 0) @ v - wb.omega**l * v).max() <= 1e-15
+
+    @pytest.mark.parametrize("d", PRIMES_TO_31)
+    def test_unitaries_are_seeds_over_zeta(self, d):
+        wb, fam, zeta = weyl_basis(d), mub_family(d), self.zeta(d)
+        assert np.abs(fam.unitary(1) - wb.op(1, 0)).max() <= 1e-15
+        for k in range(d):
+            assert np.abs(fam.unitary(k + 2) - wb.op(k, 1) / zeta[k]).max() <= 1e-15
+
+    @pytest.mark.parametrize("d", PRIMES_TO_31)
+    def test_orthonormal_and_unbiased_to_rounding(self, d):
+        fam = mub_family(d)
+        gram = np.einsum("akm,blm->abkl", fam.bases.conj(), fam.bases)
+        same = np.arange(d + 1)
+        assert np.abs(gram[same, same] - np.eye(d)).max() <= 1e-15
+        cross = np.abs(gram[~np.eye(d + 1, dtype=bool)]) ** 2
+        assert np.abs(cross - 1.0 / d).max() <= 1e-15
+
+    @pytest.mark.parametrize("d", PRIMES_TO_31)
+    def test_first_amplitude_of_weyl_eigenbases_is_real_positive(self, d):
+        first = mub_family(d).bases[1:, :, 0]
+        assert np.abs(first.imag).max() <= 1e-15
+        assert first.real.min() > 0.0

@@ -200,6 +200,16 @@ class TestIntegrate:
         with pytest.raises(QuadratureError):
             integrate(parse("1/(t - 0.5)"), 0.0, 1.000001)
 
+    def test_simpson_sum_beyond_double_range_is_an_error(self):
+        # 1e308 * 6 overflows in the Simpson sum; the pass names the step, with no RuntimeWarning
+        with pytest.raises(QuadratureError, match=r"overflow the double range on \[0.0, 0.5\]"):
+            running_integral(parse("1e308"), np.linspace(0.0, 1.0, 3), 1e-10)
+
+    def test_running_integral_beyond_double_range_is_an_error(self):
+        # every step integrates to 2e307; the running sum passes 1.8e308 at t = 9
+        with pytest.raises(QuadratureError, match=r"running integral overflows .* at t=9\.0$"):
+            running_integral(parse("2e307"), np.linspace(0.0, 20.0, 21), 1e-10)
+
     def test_additivity_random_smooth(self, rng):
         pieces = ["tanh(t)", "exp(-t) + t*t", "sinh(t/2) - 3*t", "1 + cosh(t)*0.1"]
         tol = 1e-10
@@ -294,6 +304,11 @@ class TestPresets:
         rates = preset_rates("semigroup", constants=(1.0, 0.5, 2.0))
         assert rates.dim == 2
         assert rates.sample(3.7) == pytest.approx([1.0, 0.5, 2.0], abs=0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_semigroup_constants_must_be_finite(self, bad):
+        with pytest.raises(InvalidInputError, match="constants must be finite"):
+            preset_rates("semigroup", constants=(1.0, bad, 2.0))
 
     def test_validation(self):
         with pytest.raises(InvalidInputError):

@@ -6,10 +6,15 @@ sets at d in {2, 3, 5, 7}; eternal-general and avg-decoherence at d in
 {11, 13}), a few d=2 tanh rate sets, one d=3 tanh set whose BLP witness
 comes from a random state pair, one 10^4-step grid, one d=3 rate with a
 0.02-wide dip (a non-positive intermediate map between two nearby grid
-times) and one d=3 set whose eigenvalue ratio overflows, each with seeds 42
-and 7, and prints one line per case::
+times), one d=3 set whose eigenvalue ratio overflows and two semigroups whose
+rate integrals leave the double range, each with seeds 42 and 7, and prints
+one line per case::
 
     <case> <sha256 of report.json> <sha256 of trajectory.csv>
+
+It then runs ``paulidyn mub`` for d in {2, 3, 5, 7, 11, 13, 31} and prints::
+
+    mub-d<d> <sha256 of mub_d<d>.json> <sha256 of mub_d<d>_overlaps.csv>
 
 A case that exits non-zero prints ``exit=<code>`` in place of the hashes.
 Whether two checkouts write byte-identical artifacts is then one ``diff``::
@@ -35,6 +40,7 @@ import paulidyn
 from paulidyn.cli import main
 
 SEEDS = (42, 7)
+MUB_DIMS = (2, 3, 5, 7, 11, 13, 31)
 
 # (a, b, c, e) per rate of a + b*tanh(c*(t - e)), three rates per d=2 set
 TANH_SETS = (
@@ -87,27 +93,34 @@ def cases():
            ["--d=3"] + ["--gamma=1"] * 3 + ["--gamma=1 - 3*exp(0-((t-2.06)/0.02)^2)"])
     # lambda_1 underflows to 0 and recovers: lambda_1(5)/lambda_1(2.5) exceeds the double range
     yield "overflow-ratio-d3", ["--d=3"] + ["--gamma=200*tanh(3*(2.5-t))"] * 3 + ["--gamma=1"]
+    # a Simpson sum of the first rate overflows
+    yield "overflow-simpson-d2", ["--preset=semigroup", "--c=1e308,1,1"]
+    # every rate integral is finite, their sum G overflows near t = 3
+    yield "overflow-total-d2", ["--preset=semigroup", "--c=2e307,2e307,2e307"]
 
 
 def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def run_case(argv: list) -> str:
+def run_case(argv: list, outputs=("report.json", "trajectory.csv")) -> str:
     with tempfile.TemporaryDirectory() as tmp:
         out = io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
-            code = main(["dynamics", *argv, f"--out={tmp}"])
+            code = main([*argv, f"--out={tmp}"])
         if code != 0:
             return f"exit={code}"
-        return f"{sha256(Path(tmp) / 'report.json')} {sha256(Path(tmp) / 'trajectory.csv')}"
+        return " ".join(sha256(Path(tmp) / name) for name in outputs)
 
 
 def run_matrix() -> None:
     print(f"paulidyn from {Path(paulidyn.__file__).parent}", file=sys.stderr)
     for name, argv in cases():
         for seed in SEEDS:
-            print(f"{name}-s{seed} {run_case(argv + [f'--seed={seed}'])}", flush=True)
+            print(f"{name}-s{seed} {run_case(['dynamics', *argv, f'--seed={seed}'])}", flush=True)
+    for d in MUB_DIMS:
+        outputs = (f"mub_d{d}.json", f"mub_d{d}_overlaps.csv")
+        print(f"mub-d{d} {run_case(['mub', f'--d={d}'], outputs)}", flush=True)
 
 
 if __name__ == "__main__":
