@@ -62,6 +62,8 @@ SEESAW_CHAINS = 12
 TIE_ULPS = 64
 #: grid pairs per chunk of a linear-form scan; bounds its memory
 _PAIR_CHUNK = 2048
+#: trajectory.csv rows built per block; bounds the per-value strings held at once
+_CSV_BLOCK_ROWS = 512
 
 HOLDS = "holds"
 VIOLATED = "violated"
@@ -840,9 +842,29 @@ def analyze(rates: RateSet, family: MubFamily | None = None, t_max: float = 5.0,
 
 
 def trajectory_to_csv(traj: Trajectory) -> str:
-    """CSV with columns t, gamma_1.., Gamma_1.., lambda_1.. (17 significant digits)."""
+    """CSV with columns t, gamma_1.., Gamma_1.., lambda_1.., each value format(x, ".17g").
+
+    Rate sets tied by symmetry repeat whole columns bit for bit, and constant
+    rates give constant columns.  So the rows are built in blocks of
+    ``_CSV_BLOCK_ROWS``, and within a block each column is mapped to the first
+    column with the same bit patterns (0.0 and -0.0 stay apart), each distinct
+    column is formatted once, and a column that holds one bit pattern formats
+    one value.  The text is byte-identical to formatting value by value.
+    """
     cols = ["t"] + [f"{name}_{a + 1}" for name in ("gamma", "Gamma", "lambda")
                     for a in range(traj.dim + 1)]
-    table = np.vstack((traj.grid, traj.gammas, traj.big_gammas, traj.lambdas)).T
-    row = ",".join(["%.17g"] * len(cols))  # the text of format(x, ".17g") per value
-    return "\n".join([",".join(cols)] + [row % tuple(r) for r in table]) + "\n"
+    table = np.vstack((traj.grid, traj.gammas, traj.big_gammas, traj.lambdas))
+    bits = table.view(np.int64)
+    parts = [",".join(cols) + "\n"]
+    for start in range(0, table.shape[1], _CSV_BLOCK_ROWS):
+        block = bits[:, start:start + _CSV_BLOCK_ROWS]
+        n = block.shape[1]
+        constant = (block == block[:, :1]).all(axis=1)
+        first = {}
+        source = [first.setdefault(column.tobytes(), k) for k, column in enumerate(block)]
+        values = table[:, start:start + n]
+        text = {k: ["%.17g" % values[k, 0]] * n if constant[k]
+                else ("\n".join(["%.17g"] * n) % tuple(values[k].tolist())).split("\n")
+                for k in first.values()}
+        parts.append("\n".join(map(",".join, zip(*[text[k] for k in source]))) + "\n")
+    return "".join(parts)

@@ -4,7 +4,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -13,6 +13,8 @@ from paulidyn.dynamics import (
     BLP_ROUNDING_FLOOR,
     NOT_APPLICABLE,
     VIOLATED,
+    _CSV_BLOCK_ROWS,
+    Trajectory,
     _overlap_form,
     _pure_response,
     _seesaw,
@@ -723,6 +725,93 @@ def test_constant_rates_give_a_finite_report(data, d, t_max):
     json.dumps(report.to_json_dict(), allow_nan=False)
 
 
+def reference_csv_rows(table: np.ndarray) -> list:
+    """The lines of trajectory.csv after its header, formatted value by value; a list
+    keeps a failing comparison's report to the first differing line."""
+    return [",".join(format(x, ".17g") for x in row) for row in table.T.tolist()] + [""]
+
+
+# 0.0 next to -0.0, the smallest subnormal, another subnormal, the double range's edges
+CSV_SPECIALS = (0.0, -0.0, 5e-324, -5e-324, 1.5e-310, 1e308, -1e308, 1.0, -1.0, 0.1,
+                math.inf, -math.inf, math.nan)
+CSV_ROWS = (3, _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1, 10_000 + 1)
+
+
+@st.composite
+def csv_recipes(draw):
+    """(d, rows, seed, column specs); a spec is ("random",), ("constant", v),
+    ("copy", j) or ("last-row", j, v): column j with its last value set to v."""
+    d = draw(st.sampled_from([2, 3, 31]))
+    specials = st.sampled_from(CSV_SPECIALS)
+    specs = []
+    for k in range(3 * (d + 1) + 1):
+        kinds = ["random", "constant"] + (["copy", "last-row"] if k else [])
+        kind = draw(st.sampled_from(kinds))
+        if kind == "random":
+            specs.append((kind,))
+        elif kind == "constant":
+            specs.append((kind, draw(specials)))
+        elif kind == "copy":
+            specs.append((kind, draw(st.integers(0, k - 1))))
+        else:
+            specs.append((kind, draw(st.integers(0, k - 1)), draw(specials)))
+    # the 97-column table at 10^4 + 1 rows takes ~1 s to check, so one @example covers it
+    rows = draw(st.sampled_from(CSV_ROWS if d < 31 else CSV_ROWS[:-1]))
+    return d, rows, draw(st.integers(0, 2**32 - 1)), specs
+
+
+def csv_trajectory(recipe) -> Trajectory:
+    """A synthetic Trajectory whose CSV columns follow the recipe of csv_recipes."""
+    d, rows, seed, specs = recipe
+    assert len(specs) == 3 * (d + 1) + 1
+    rng = np.random.default_rng(seed)
+    columns = []
+    for spec in specs:
+        if spec[0] == "random":
+            column = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
+            sprinkled = rng.random(rows) < 0.05
+            column[sprinkled] = rng.choice(CSV_SPECIALS, sprinkled.sum())
+        elif spec[0] == "constant":
+            column = np.full(rows, spec[1])
+        else:
+            column = columns[spec[1]].copy()
+            if spec[0] == "last-row":
+                column[-1] = spec[2]
+        columns.append(column)
+    table = np.array(columns)
+    return Trajectory(dim=d, grid=table[0], gammas=table[1:d + 2],
+                      big_gammas=table[d + 2:2 * d + 3], lambdas=table[2 * d + 3:])
+
+
+class TestCsvWriter:
+    @given(recipe=csv_recipes())
+    @settings(max_examples=30, deadline=None)
+    @example(recipe=(2, _CSV_BLOCK_ROWS + 1, 0, [
+        ("random",), ("constant", 0.0), ("constant", -0.0), ("last-row", 0, 0.5),
+        ("last-row", 1, -0.0), ("copy", 2), ("constant", 5e-324), ("constant", 1e308),
+        ("constant", -1e308), ("constant", 1.5e-310)]))
+    @example(recipe=(2, 3, 0, [
+        ("random",), ("constant", 0.0), ("last-row", 1, -0.0), ("constant", -0.0),
+        ("last-row", 3, 0.0), ("copy", 2), ("constant", math.nan), ("last-row", 6, math.inf),
+        ("copy", 0), ("last-row", 0, -0.0)]))
+    @example(recipe=(31, 10_000 + 1, 1, [("random",)] * 40 + [("last-row", 39, 0.0)]
+                     + [("copy", 0), ("constant", -0.0), ("constant", 0.0)] * 18
+                     + [("copy", 5), ("constant", 1.0)]))
+    def test_matches_per_value_format(self, recipe):
+        traj = csv_trajectory(recipe)
+        table = np.vstack((traj.grid, traj.gammas, traj.big_gammas, traj.lambdas))
+        assert trajectory_to_csv(traj).split("\n")[1:] == reference_csv_rows(table)
+
+    def test_tied_and_constant_columns_of_a_fine_grid(self):
+        traj = build_trajectory(preset_rates("avg-decoherence", d=3), t_max=5.0, steps=10_000)
+        bits = np.vstack((traj.grid, traj.gammas, traj.big_gammas, traj.lambdas)).view(np.int64)
+        # the d unit rates tie gamma, Gamma and lambda columns; Gamma_1 = t bit for bit
+        assert np.all(bits[1:4] == bits[1]) and np.all(bits[1] == bits[1, 0])
+        assert np.array_equal(bits[5], bits[0]) and np.all(bits[9:12] == bits[9])
+        table = bits.view(float)
+        assert trajectory_to_csv(traj).split("\n")[1:] == reference_csv_rows(table)
+
+
 class TestSeesawWitnessSearch:
     def test_short_window_gets_a_certified_witness(self, family3):
         # the only non-positive intermediate maps lie between t = 2.05 and 2.075
@@ -757,6 +846,23 @@ class TestSeesawWitnessSearch:
         expectation = np.einsum("ci,cij,cj->c", phi.conj(), response, phi).real
         linear = 1.0 / d + (nus * _overlap_form(family, psi, phi)).sum(axis=1)
         assert np.abs(linear - expectation).max() <= 1e-15
+
+    @pytest.mark.parametrize("d", [3, 5, 7])
+    def test_overlap_response_matches_spectral_apply_over_seeds(self, d):
+        # both sides round differently; the worst of 1000 seeds reaches ~2 ulps * d * ||ref||
+        family, eps = mub_family(d), np.finfo(float).eps
+        for seed in range(300):
+            rng = np.random.default_rng(seed)
+            nus = rng.uniform(-1.0, 2.0, (6, d + 1))
+            psi, phi = random_pure_state(d, rng, 6), random_pure_state(d, rng, 6)
+            response = _pure_response(family, nus, psi)
+            expectation = np.einsum("ci,cij,cj->c", phi.conj(), response, phi).real
+            linear = 1.0 / d + (nus * _overlap_form(family, psi, phi)).sum(axis=1)
+            for c in range(6):
+                ref = spectral_apply(family, nus[c], np.outer(psi[c], psi[c].conj()))
+                tol = 4 * eps * d * max(1.0, np.linalg.norm(ref, 2))
+                assert np.abs(response[c] - ref).max() <= tol, (seed, c)
+                assert abs(linear[c] - expectation[c]) <= tol, (seed, c)
 
     def test_seesaw_value_never_rises(self, family3, rng):
         traj = build_trajectory(preset_rates("avg-decoherence", d=3), t_max=5.0, steps=40)

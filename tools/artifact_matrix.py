@@ -3,12 +3,14 @@
 Runs the command in-process for every case of the ROADMAP preset matrix
 (eternal-qubit; eternal-general, avg-decoherence and four semigroup constant
 sets at d in {2, 3, 5, 7}; eternal-general and avg-decoherence at d in
-{11, 13}), a few d=2 tanh rate sets, one d=3 tanh set whose BLP witness
-comes from a random state pair, one 10^4-step grid, one d=3 rate with a
-0.02-wide dip (a non-positive intermediate map between two nearby grid
-times), one d=3 set whose eigenvalue ratio overflows and two semigroups whose
-rate integrals leave the double range, each with seeds 42 and 7, and prints
-one line per case::
+{11, 13}), avg-decoherence at d=31 (the widest trajectory.csv, with tied and
+constant columns), a few d=2 tanh rate sets, one d=3 tanh set whose BLP
+witness comes from a random state pair, the same set on a 10^4-step grid
+(every CSV column distinct), one 10^4-step eternal-general grid, one d=3
+rate with a 0.02-wide dip (a non-positive intermediate map between two
+nearby grid times), one d=3 set whose eigenvalue ratio overflows and two
+semigroups whose rate integrals leave the double range, each with seeds 42
+and 7, and prints one line per case::
 
     <case> <sha256 of report.json> <sha256 of trajectory.csv>
 
@@ -81,11 +83,13 @@ def cases():
         for label, values in semigroup_sets(d).items():
             yield (f"semigroup-{label}-d{d}",
                    ["--preset=semigroup", "--c=" + ",".join(repr(c) for c in values)])
+    yield "avg-decoherence-d31", ["--preset=avg-decoherence", "--d=31"]
     # large rates: lambda underflows to 0 for t > ~7.5
     yield "semigroup-large-d2-t10", ["--preset=semigroup", "--c=50,50,50", "--t-max=10"]
     for k, params in enumerate(TANH_SETS, 1):
         yield f"tanh{k}-d2", ["--d=2"] + tanh_argv(params)
     yield "tanh-random-pair-d3", ["--d=3"] + tanh_argv(TANH_RANDOM_PAIR_D3)
+    yield "tanh-random-pair-d3-n10000", ["--d=3", "--steps=10000"] + tanh_argv(TANH_RANDOM_PAIR_D3)
     yield ("eternal-general-d3-t10-n10000",
            ["--preset=eternal-general", "--d=3", "--t-max=10", "--steps=10000"])
     # not positive between t = 2.05 and 2.075 only
