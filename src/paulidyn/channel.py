@@ -21,7 +21,8 @@ import numpy as np
 
 from .errors import DimensionError, InvalidInputError
 from .linalg import as_square_matrix, min_eigenvalue_hermitian
-from .mub import MubFamily, WeylBasis, commuting_classes, mub_family, spectral_apply, weyl_basis
+from .mub import (MubFamily, WeylBasis, commuting_classes, mub_family, spectral_apply,
+                  unitary_powers, weyl_basis)
 
 #: slack used for the stored CP flag (absorbs float noise at the CP boundary)
 CP_FLAG_TOL = 1e-12
@@ -188,10 +189,7 @@ def is_cp_fujiwara(ch: GenPauliChannel, tol: float = CP_FLAG_TOL) -> CpCheck:
 
 def apply(ch: GenPauliChannel, rho) -> np.ndarray:
     """Act on a d x d operator.  Linear, trace-preserving, unital for any real p."""
-    arr = as_square_matrix(rho)
-    if arr.shape[0] != ch.dim:
-        raise DimensionError(f"state has dimension {arr.shape[0]}, channel acts on {ch.dim}")
-    return spectral_apply(ch.family, ch.lambdas, arr)
+    return spectral_apply(ch.family, ch.lambdas, as_square_matrix(rho, ch.dim))
 
 
 def kraus_operators(ch: GenPauliChannel) -> tuple:
@@ -203,11 +201,7 @@ def kraus_operators(ch: GenPauliChannel) -> tuple:
     ops = [np.sqrt(p[0]) * np.eye(d, dtype=complex)]
     for a in range(d + 1):
         w = np.sqrt(p[a + 1] / (d - 1))
-        u = ch.family.unitaries[a]
-        acc = np.eye(d, dtype=complex)
-        for _ in range(d - 1):
-            acc = acc @ u
-            ops.append(w * acc)
+        ops += [w * power for power in unitary_powers(ch.family.unitaries[a])]
     return tuple(ops)
 
 
@@ -285,9 +279,7 @@ def weyl_channel(basis: WeylBasis, p) -> WeylChannel:
 
 
 def weyl_channel_apply(ch: WeylChannel, rho) -> np.ndarray:
-    arr = as_square_matrix(rho)
-    if arr.shape[0] != ch.dim:
-        raise DimensionError(f"state has dimension {arr.shape[0]}, channel acts on {ch.dim}")
+    arr = as_square_matrix(rho, ch.dim)
     return np.einsum(
         "kl,klmi,ij,klnj->mn", ch.probabilities, ch.basis.operators, arr,
         ch.basis.operators.conj(),

@@ -26,11 +26,11 @@ operator achieving the violation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .channel import GenPauliChannel, channel_from_eigenvalues, cp_margins
+from .channel import GenPauliChannel, _freeze, channel_from_eigenvalues, cp_margins
 from .errors import (
     DimensionError,
     EvaluationError,
@@ -38,10 +38,10 @@ from .errors import (
     InvalidInputError,
     QuadratureError,
 )
-from .linalg import (as_square_matrix, random_density_matrix, random_hermitian,
+from .linalg import (as_square_matrix, complex_pairs, random_density_matrix, random_hermitian,
                      random_pure_state, trace_norm)
 from .mub import MubFamily, axis_blocks, mub_family, spectral_apply
-from .ratefn import RateSet, evaluate, running_integral
+from .ratefn import RateSet, running_integral
 
 #: slack for inequality checks (separates float noise from violations)
 TOL_CONDITION = 1e-12
@@ -100,11 +100,6 @@ class Trajectory:
     def mus(self) -> np.ndarray:
         """Generator eigenvalues gamma_alpha - sum(gamma)."""
         return self.gammas - self.gammas.sum(axis=0)
-
-
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
 
 
 def build_trajectory(rates: RateSet, t_max: float, steps: int = 400,
@@ -195,20 +190,18 @@ def generator_apply(rates: RateSet, family: MubFamily, t: float, rho) -> np.ndar
     In eigenvalue form it scales axis alpha by mu_alpha = gamma_alpha - sum(gamma)
     and annihilates the identity part.
     """
-    arr = as_square_matrix(rho)
-    if arr.shape[0] != family.dim:
-        raise DimensionError(f"state has dimension {arr.shape[0]}, family is {family.dim}")
+    arr = as_square_matrix(rho, family.dim)
     if rates.dim != family.dim:
         raise DimensionError(f"rate set is d={rates.dim}, family is d={family.dim}")
-    g = np.array([evaluate(r, t) for r in rates.rates])
+    g = np.array(rates.sample(t))
     return np.tensordot(g - g.sum(), axis_blocks(family, arr), axes=1)
 
 
 def evolve_operator(traj: Trajectory, family: MubFamily, x) -> np.ndarray:
     """Apply the map at every grid time to one operator; returns (N+1, d, d)."""
-    arr = as_square_matrix(x)
-    if arr.shape[0] != family.dim or traj.dim != family.dim:
-        raise DimensionError("operator, trajectory and family dimensions must agree")
+    arr = as_square_matrix(x, family.dim)
+    if traj.dim != family.dim:
+        raise DimensionError(f"family is d={family.dim}, trajectory is d={traj.dim}")
     return spectral_apply(family, traj.lambdas.T, arr)
 
 
@@ -424,9 +417,7 @@ def check_frobenius_monotone(traj: Trajectory, family: MubFamily | None = None,
             f"Frobenius norm grew ({worst_rel:.3e}) although the analytic check holds"
         )
     note = verdict.note + f" sampled {samples} operators, max relative increase {worst_rel:.3e}"
-    return Verdict(verdict.criterion, verdict.status, verdict.margin,
-                   verdict.first_violation_time, verdict.violations, note.strip(),
-                   verdict.margin_series)
+    return replace(verdict, note=note.strip())
 
 
 # ---------------------------------------------------------------------------
@@ -452,9 +443,6 @@ class Witness:
     detail: str = ""
 
     def to_json_dict(self) -> dict:
-        def cplx(arr):
-            return [[[float(c.real), float(c.imag)] for c in row] for row in arr]
-
         out = {
             "found": True,
             "kind": self.kind,
@@ -464,9 +452,9 @@ class Witness:
             "detail": self.detail,
         }
         if self.state is not None:
-            out["state"] = [[float(c.real), float(c.imag)] for c in self.state]
+            out["state"] = complex_pairs(self.state)
         if self.operator is not None:
-            out["operator"] = cplx(self.operator)
+            out["operator"] = complex_pairs(self.operator)
         return out
 
 
@@ -697,33 +685,31 @@ def check_blp(traj: Trajectory, family: MubFamily, pairs=20, seed: int = 42) -> 
     """Probe the trace distance of evolved state pairs for back-flow.
 
     ``pairs`` is either a count of sampled density-matrix pairs or an explicit
-    list of (rho1, rho2) tuples of equal trace.  Returns the largest relative
-    increase found between consecutive grid times, or None; among rises
-    within ``TIE_ULPS`` ulps of the largest, the earliest pair, then the
-    earliest step, is reported.  A rise counts only when it exceeds
+    list of (rho1, rho2) tuples of d x d operators of equal trace.  Returns
+    the largest relative increase found between consecutive grid times, or
+    None; among rises within ``TIE_ULPS`` ulps of the largest, the earliest
+    pair, then the earliest step, is reported.  A rise counts only when it exceeds
     ``BLP_ROUNDING_FLOOR`` ulps of d times the initial distance, so a
     distance that has decayed into rounding noise cannot fake back-flow.
     Distances come from :func:`_trace_distances`.
     """
     d = traj.dim
+    if family.dim != d:
+        raise DimensionError(f"family is d={family.dim}, trajectory is d={d}")
     if isinstance(pairs, int):
         if pairs < 0:
             raise InvalidInputError(f"BLP pair count must be >= 0, got {pairs}")
         # one antipodal pair per basis, then random mixed pairs (rho1, rho2 alternating)
-        pair_list = [
-            (family.projector(a, 0), family.projector(a, 1)) for a in range(1, d + 2)
-        ][:pairs]
-        rhos = random_density_matrix(d, np.random.default_rng(seed),
-                                     2 * (pairs - len(pair_list)))
-        pair_list += zip(rhos[0::2], rhos[1::2])
+        b = family.bases[:pairs, :2]  # vectors 0 and 1 of the first bases
+        projs = b[..., :, None] * b[..., None, :].conj()
+        rhos = random_density_matrix(d, np.random.default_rng(seed), 2 * (pairs - len(b)))
+        deltas = np.concatenate((projs[:, 0] - projs[:, 1], rhos[0::2] - rhos[1::2]))
     else:
-        pair_list = list(pairs)
-
-    deltas = [as_square_matrix(rho1) - as_square_matrix(rho2) for rho1, rho2 in pair_list]
+        deltas = [as_square_matrix(rho1, d) - as_square_matrix(rho2, d) for rho1, rho2 in pairs]
+        if any(abs(np.trace(delta)) > TOL_CONDITION for delta in deltas):
+            raise InvalidInputError("the two states of a BLP pair must have equal traces")
     rel = np.zeros((len(deltas), traj.steps))
     for delta, row in zip(deltas, rel):
-        if abs(np.trace(delta)) > TOL_CONDITION:
-            raise InvalidInputError("the two states of a BLP pair must have equal traces")
         dists = _trace_distances(traj, family, delta)
         rise = np.diff(dists)
         above = rise > BLP_ROUNDING_FLOOR * np.finfo(float).eps * d * dists[0]

@@ -19,20 +19,27 @@ EQUALITY_TOL = 1e-12
 HERMITIAN_TOL = 1e-10
 
 
-def as_square_matrix(x, min_dim: int = 1) -> np.ndarray:
+def as_square_matrix(x, dim: int | None = None) -> np.ndarray:
     """Validate and return ``x`` as a square complex matrix.
 
-    Raises :class:`InvalidInputError` on non-finite entries and
-    :class:`DimensionError` on anything that is not square of size >= min_dim.
+    The one check of every operator input.  Raises :class:`InvalidInputError`
+    on non-finite entries and :class:`DimensionError` on anything that is not
+    square, or not ``dim`` x ``dim`` when ``dim`` is given.
     """
     arr = np.asarray(x, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {arr.shape}")
-    if arr.shape[0] < min_dim:
-        raise DimensionError(f"matrix dimension {arr.shape[0]} < minimum {min_dim}")
     if not (np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag))):
         raise InvalidInputError("matrix has non-finite entries")
+    if dim is not None and arr.shape[0] != dim:
+        raise DimensionError(f"operator has dimension {arr.shape[0]}, expected {dim}")
     return arr
+
+
+def complex_pairs(x) -> list:
+    """JSON form of a complex array: nested lists with each entry as [re, im]."""
+    x = np.asarray(x)
+    return np.stack((x.real, x.imag), -1).tolist()
 
 
 def dagger(x) -> np.ndarray:
@@ -86,9 +93,7 @@ def min_eigenvalue_hermitian(x, tol: float = HERMITIAN_TOL) -> float:
 def matrices_close(a, b, tol: float = EQUALITY_TOL) -> bool:
     """Entrywise equality within an absolute tolerance."""
     am = as_square_matrix(a)
-    bm = as_square_matrix(b)
-    if am.shape != bm.shape:
-        raise DimensionError(f"shape mismatch: {am.shape} vs {bm.shape}")
+    bm = as_square_matrix(b, len(am))
     return bool(np.abs(am - bm).max() <= tol)
 
 
@@ -100,9 +105,7 @@ class KrausMap:
     operators: tuple
 
     def __call__(self, rho) -> np.ndarray:
-        arr = as_square_matrix(rho)
-        if arr.shape[0] != self.dim:
-            raise DimensionError(f"state has dimension {arr.shape[0]}, map acts on {self.dim}")
+        arr = as_square_matrix(rho, self.dim)
         out = np.zeros_like(arr)
         for k in self.operators:
             out += k @ arr @ k.conj().T

@@ -21,7 +21,7 @@ from .errors import (
     InvalidInputError,
     UnsupportedDimensionError,
 )
-from .linalg import KrausMap, as_square_matrix
+from .linalg import KrausMap, as_square_matrix, complex_pairs
 
 
 def is_prime(n: int) -> bool:
@@ -56,14 +56,18 @@ class WeylBasis:
         return self.operators[k % self.dim, l % self.dim]
 
 
+def _check_dim(d) -> int:
+    if not isinstance(d, (int, np.integer)) or d < 2:
+        raise DimensionError(f"dimension must be an integer >= 2, got {d!r}")
+    return int(d)
+
+
 def weyl_basis(d: int) -> WeylBasis:
     """Construct every W_{kl} = X^l Z^k for dimension ``d`` >= 2.
 
     The entries are roots of unity: (W_{kl})[m+l mod d, m] = omega**(k m).
     """
-    if not isinstance(d, (int, np.integer)) or d < 2:
-        raise DimensionError(f"dimension must be an integer >= 2, got {d!r}")
-    d = int(d)
+    d = _check_dim(d)
     omega = np.exp(2j * np.pi / d)
     ops = np.zeros((d, d, d, d), dtype=complex)
     m = np.arange(d)
@@ -134,13 +138,7 @@ class MubFamily:
 
     def to_json_dict(self) -> dict:
         """JSON form: complex amplitudes as [re, im] pairs (schema in README)."""
-        return {
-            "dim": self.dim,
-            "bases": [
-                [[[float(c.real), float(c.imag)] for c in vec] for vec in basis]
-                for basis in self.bases
-            ],
-        }
+        return {"dim": self.dim, "bases": complex_pairs(self.bases)}
 
 
 def mub_family(d: int) -> MubFamily:
@@ -155,10 +153,10 @@ def mub_family(d: int) -> MubFamily:
     {omega**l}.  Non-prime ``d`` raises :class:`UnsupportedDimensionError`
     (the prime-power field construction is not implemented here).
     """
-    basis = weyl_basis(d)
-    if not is_prime(basis.dim):
+    d = _check_dim(d)
+    if not is_prime(d):
         raise UnsupportedDimensionError(f"complete MUB construction requires prime d, got {d}")
-    omega, r = basis.omega, np.arange(d)
+    omega, r = np.exp(2j * np.pi / d), np.arange(d)
     # the powers weyl_basis uses, made exactly conjugate-symmetric: omega^-r = conj(omega^r)
     roots = np.where(2 * r > d, np.conj(omega ** (d - r)), omega ** r)
     zeta = np.array([1.0, 1j]) if d == 2 else np.ones(d)
@@ -166,8 +164,11 @@ def mub_family(d: int) -> MubFamily:
     bases = np.empty((d + 1, d, d), dtype=complex)
     bases[0] = np.eye(d)
     bases[1:] = zeta[k] ** -m * roots[(k * m * (m - 1) // 2 - l * m) % d] / np.sqrt(d)
-    unitaries = np.concatenate((basis.operators[1, :1],  # Z = W_{1,0}
-                                basis.operators[:, 1] / zeta[:, None, None]))  # X Z^k = W_{k,1}
+    # the entries of Z = W_{1,0} and X Z^k = W_{k,1}, as weyl_basis builds them
+    z, xz = np.zeros((d, d), dtype=complex), np.zeros((d, d, d), dtype=complex)
+    z[r, r] = omega ** r
+    xz[:, (r + 1) % d, r] = omega ** ((r[:, None] * r) % d)
+    unitaries = np.concatenate((z[None], xz / zeta[:, None, None]))
     bases.setflags(write=False)
     unitaries.setflags(write=False)
     return MubFamily(dim=d, bases=bases, unitaries=unitaries, omega=omega)
@@ -180,10 +181,7 @@ def mub_family(d: int) -> MubFamily:
 
 def decoherence_channel(family: MubFamily, alpha: int) -> KrausMap:
     """Full dephasing in basis ``alpha``: rho -> sum_l P_l rho P_l."""
-    a = family._check_alpha(alpha)
-    projs = tuple(
-        np.outer(family.bases[a][l], family.bases[a][l].conj()) for l in range(family.dim)
-    )
+    projs = tuple(family.projector(alpha, l) for l in range(family.dim))
     return KrausMap(dim=family.dim, operators=projs)
 
 
@@ -192,20 +190,21 @@ def unitary_mixing_map(family: MubFamily, alpha: int) -> KrausMap:
 
     Identically equal to d*(dephasing in basis alpha) - identity.
     """
-    u = family.unitary(alpha)
-    powers = []
-    acc = np.eye(family.dim, dtype=complex)
-    for _ in range(family.dim - 1):
+    return KrausMap(dim=family.dim, operators=tuple(unitary_powers(family.unitary(alpha))))
+
+
+def unitary_powers(u: np.ndarray) -> list:
+    """U, U^2, ..., U^(d-1) of a d x d unitary, by repeated right multiplication from I."""
+    powers, acc = [], np.eye(len(u), dtype=complex)
+    for _ in range(len(u) - 1):
         acc = acc @ u
         powers.append(acc)
-    return KrausMap(dim=family.dim, operators=tuple(powers))
+    return powers
 
 
 def dephase_all(family: MubFamily, rho) -> np.ndarray:
     """Apply every basis dephasing at once; returns shape (d+1, d, d)."""
-    arr = as_square_matrix(rho)
-    if arr.shape[0] != family.dim:
-        raise DimensionError(f"state has dimension {arr.shape[0]}, family is {family.dim}")
+    arr = as_square_matrix(rho, family.dim)
     return axis_blocks(family, arr) + np.trace(arr) / family.dim * np.eye(family.dim)
 
 

@@ -225,10 +225,6 @@ class RateExpr:
     source: str
     root: object
 
-    @property
-    def canonical_source(self) -> str:
-        return to_source(self.root)
-
 
 def parse(source: str) -> RateExpr:
     if not isinstance(source, str) or not source.strip():

@@ -1,11 +1,16 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from paulidyn.channel import (apply, channel_from_probabilities, weyl_channel_apply,
+                              weyl_channel_from_pauli)
+from paulidyn.dynamics import build_trajectory, check_blp, evolve_operator, generator_apply
 from paulidyn.errors import DimensionError, InvalidInputError, NonHermitianError
 from paulidyn.linalg import (
     KrausMap,
+    complex_pairs,
     dagger,
     frobenius_norm,
     hermitian_check,
@@ -18,7 +23,8 @@ from paulidyn.linalg import (
     random_unitary,
     trace_norm,
 )
-from paulidyn.mub import weyl_basis
+from paulidyn.mub import decoherence_channel, dephase_all, mub_family, weyl_basis
+from paulidyn.ratefn import preset_rates
 from tests.conftest import PAULI
 
 
@@ -177,3 +183,66 @@ def test_kraus_map_apply(rng):
     assert matrices_close(m(rho), np.eye(2) / 2)
     with pytest.raises(DimensionError):
         m(np.eye(3))
+
+
+@pytest.fixture(scope="module")
+def d3_operator_entry_points():
+    """Every public entry point that takes an operator, bound to d = 3 objects."""
+    family = mub_family(3)
+    rates = preset_rates("eternal-general", d=3)
+    traj = build_trajectory(rates, t_max=1.0, steps=10)
+    ch = channel_from_probabilities(family, [0.6, 0.1, 0.1, 0.1, 0.1])
+    weyl = weyl_channel_from_pauli(ch)
+    return {
+        "channel.apply": lambda x: apply(ch, x),
+        "channel.weyl_channel_apply": lambda x: weyl_channel_apply(weyl, x),
+        "linalg.KrausMap": decoherence_channel(family, 1),
+        "mub.dephase_all": lambda x: dephase_all(family, x),
+        "dynamics.generator_apply": lambda x: generator_apply(rates, family, 0.5, x),
+        "dynamics.evolve_operator": lambda x: evolve_operator(traj, family, x),
+        "dynamics.check_blp": lambda x: check_blp(traj, family, [(x, np.eye(3) / 3)]),
+    }
+
+
+_NAN_D3 = np.eye(3) / 3
+_NAN_D3[0, 1] = np.nan
+
+
+@pytest.mark.parametrize("bad, error", [
+    (np.eye(2) / 2, DimensionError),
+    (np.zeros((3, 2)), DimensionError),
+    (_NAN_D3, InvalidInputError),
+], ids=["wrong-size", "non-square", "nan"])
+@pytest.mark.parametrize("entry", [
+    "channel.apply", "channel.weyl_channel_apply", "linalg.KrausMap", "mub.dephase_all",
+    "dynamics.generator_apply", "dynamics.evolve_operator", "dynamics.check_blp",
+])
+def test_operator_entry_points_check_their_input(d3_operator_entry_points, entry, bad, error):
+    call = d3_operator_entry_points[entry]
+    call(np.eye(3) / 3)  # a d x d operator passes
+    with pytest.raises(error) as exc:
+        call(bad)
+    assert type(exc.value) is error
+
+
+@pytest.mark.parametrize("pairs", [[(np.eye(2) / 2, np.diag([1.0, 0.0]))], 4],
+                         ids=["explicit", "count"])
+def test_check_blp_rejects_a_family_of_another_dimension(family2, pairs):
+    traj = build_trajectory(preset_rates("eternal-general", d=3), t_max=1.0, steps=10)
+    with pytest.raises(DimensionError):
+        check_blp(traj, family2, pairs)
+
+
+@pytest.mark.parametrize("shape", [(9,), (3, 3), (4, 3, 3)], ids=["vector", "matrix", "stack"])
+def test_complex_pairs_matches_per_entry_lists(shape):
+    specials = [-0.0, 0.0, 5e-324, -5e-324, 1e-310, 1e308, -1e308, 1.0 / 3, -2.5]
+    x = np.empty(shape, dtype=complex)
+    x.real = np.resize(specials, shape)
+    x.imag = np.resize(specials[::-1], shape)
+
+    def per_entry(a):
+        if a.ndim > 1:
+            return [per_entry(row) for row in a]
+        return [[float(c.real), float(c.imag)] for c in a]
+
+    assert json.dumps(complex_pairs(x)) == json.dumps(per_entry(x))

@@ -355,6 +355,13 @@ class TestClosedFormFamily:
             assert np.abs(fam.unitary(k + 2) - wb.op(k, 1) / zeta[k]).max() <= 1e-15
 
     @pytest.mark.parametrize("d", PRIMES_TO_31)
+    def test_unitaries_are_the_weyl_seeds_bit_for_bit(self, d):
+        # the witness operator U + U^dag goes into report.json, signed zeros included
+        wb, zeta = weyl_basis(d), self.zeta(d)
+        seeds = np.concatenate((wb.operators[1, :1], wb.operators[:, 1] / zeta[:, None, None]))
+        assert mub_family(d).unitaries.tobytes() == seeds.tobytes()
+
+    @pytest.mark.parametrize("d", PRIMES_TO_31)
     def test_orthonormal_and_unbiased_to_rounding(self, d):
         fam = mub_family(d)
         gram = np.einsum("akm,blm->abkl", fam.bases.conj(), fam.bases)
