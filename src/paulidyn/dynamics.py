@@ -483,20 +483,20 @@ def _screen_pairs(log_lam: np.ndarray) -> tuple:
     """
     n = log_lam.shape[0] - 1
     sub = np.unique(np.round(np.linspace(0, n, min(SCREEN_GRID, n + 1))).astype(np.int32))
-    pair_i, pair_j = (sub[k] for k in np.nonzero(np.triu(np.ones((sub.size,) * 2, dtype=bool), 1)))
-    if n + 1 > SCREEN_GRID:  # every adjacent pair (i, i+1) that is not in yet, in (i, j) order
+    pairs = sub[np.array(np.triu_indices(sub.size, 1))]  # (2, P) rows i, j in (i, j) order
+    if n + 1 > SCREEN_GRID:  # every adjacent pair (i, i+1) not in yet, first among those from i
         adj = np.setdiff1d(np.arange(n, dtype=np.int32), sub[:-1][np.diff(sub) == 1])
-        pair_i, pair_j = np.concatenate([pair_i, adj]), np.concatenate([pair_j, adj + 1])
-        pair_i, pair_j = np.stack([pair_i, pair_j])[:, np.lexsort((pair_j, pair_i))]
-    non_cp = [cp_margins(nus.T)[1] < 0 for _, nus in _pair_chunks(log_lam, pair_i, pair_j)]
-    return pair_i[np.concatenate(non_cp)], pair_j[np.concatenate(non_cp)]
+        pairs = np.insert(pairs, np.searchsorted(pairs[0], adj), [adj, adj + 1], axis=1)
+    non_cp = np.concatenate([cp_margins(np.ascontiguousarray(nus.T))[1] < 0  # sum across rows
+                             for _, nus in _pair_chunks(log_lam, *pairs)])
+    return pairs[0, non_cp], pairs[1, non_cp]
 
 
 def _pair_chunks(log_lam: np.ndarray, pair_i: np.ndarray, pair_j: np.ndarray):
     """Yield (offset, nu rows) for successive chunks of the grid pairs (i, j)."""
     for lo in range(0, len(pair_i), _PAIR_CHUNK):
-        hi = lo + _PAIR_CHUNK
-        yield lo, np.exp(log_lam[pair_j[lo:hi]] - log_lam[pair_i[lo:hi]])
+        hi = lo + _PAIR_CHUNK  # np.take copies whole rows; int32 fancy indexing is 2-3x slower
+        yield lo, np.exp(np.take(log_lam, pair_j[lo:hi], 0) - np.take(log_lam, pair_i[lo:hi], 0))
 
 
 def _best_pairs(log_lam: np.ndarray, pair_i: np.ndarray, pair_j: np.ndarray, q: np.ndarray):

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -8,15 +9,17 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from paulidyn.channel import choi_matrix
+from paulidyn.channel import choi_matrix, cp_margins
 from paulidyn.dynamics import (
     BLP_ROUNDING_FLOOR,
     NOT_APPLICABLE,
+    SCREEN_GRID,
     VIOLATED,
     _CSV_BLOCK_ROWS,
     Trajectory,
     _overlap_form,
     _pure_response,
+    _screen_pairs,
     _seesaw,
     _trace_distances,
     analyze,
@@ -898,6 +901,64 @@ class TestSeesawWitnessSearch:
             find_p_divisibility_witness(traj, family3, refine_iters=-3)
         with pytest.raises(InvalidInputError, match="refine_iters"):
             analyze(rates, family3, t_max=1.0, steps=20, refine_iters=-3)
+
+
+def reference_screen_grid_pairs(n: int) -> tuple:
+    """The screen's (i, j) pair list built the plain way: a dense triangle of the
+    sub-grid, every adjacent pair not in it yet, then one lexsort."""
+    sub = np.unique(np.round(np.linspace(0, n, min(SCREEN_GRID, n + 1))).astype(np.int32))
+    pair_i, pair_j = (sub[k] for k in np.nonzero(np.triu(np.ones((sub.size,) * 2, dtype=bool), 1)))
+    if n + 1 > SCREEN_GRID:
+        adj = np.setdiff1d(np.arange(n, dtype=np.int32), sub[:-1][np.diff(sub) == 1])
+        pair_i, pair_j = np.concatenate([pair_i, adj]), np.concatenate([pair_j, adj + 1])
+        order = np.lexsort((pair_j, pair_i))
+        pair_i, pair_j = pair_i[order], pair_j[order]
+    return pair_i, pair_j
+
+
+class TestPairScreen:
+    @pytest.mark.parametrize("n", [2, 3, 400, 401, 402, 800, 10_000])
+    def test_pair_list_matches_the_reference(self, n):
+        # lambda_1 rises and the rest stay 1, so no intermediate map is CP and every pair stays
+        log_lam = np.zeros((n + 1, 4))
+        log_lam[:, 0] = np.linspace(0.0, 1.0, n + 1)
+        pair_i, pair_j = _screen_pairs(log_lam)
+        ref_i, ref_j = reference_screen_grid_pairs(n)
+        assert pair_i.dtype == pair_j.dtype == np.int32
+        assert np.array_equal(pair_i, ref_i) and np.array_equal(pair_j, ref_j)
+
+    @pytest.mark.parametrize("d, steps", [(3, 400), (3, 10_000), (5, 400), (7, 400),
+                                          (7, 10_000), (13, 400)])
+    @pytest.mark.parametrize("preset", ["eternal-general", "avg-decoherence"])
+    def test_cp_filter_matches_row_major_margins(self, preset, d, steps):
+        traj = build_trajectory(preset_rates(preset, d=d), t_max=5.0, steps=steps)
+        log_lam = np.ascontiguousarray(traj.log_lambdas.T)
+        ref_i, ref_j = reference_screen_grid_pairs(steps)
+        nus = np.exp(log_lam[ref_j] - log_lam[ref_i])
+        upper = cp_margins(nus.T)[1]  # one pair per row, reduced within the row
+        pair_i, pair_j = _screen_pairs(log_lam)
+        kept = np.isin(ref_i.astype(np.int64) * (steps + 1) + ref_j,
+                       pair_i.astype(np.int64) * (steps + 1) + pair_j)
+        assert kept.sum() == pair_i.size  # the screen keeps a sub-list of the reference order
+        assert np.array_equal(ref_i[kept], pair_i) and np.array_equal(ref_j[kept], pair_j)
+        flipped = kept != (upper < 0)
+        if d <= 5:  # rows of at most 7 entries are summed left to right either way
+            assert not flipped.any()
+        else:  # only maps that are CP up to rounding may change side
+            band = 4 * (d + 1) * np.finfo(float).eps * (1.0 + nus.sum(axis=1))
+            assert np.all(np.abs(upper[flipped]) <= band[flipped])
+
+    def test_witness_search_memory_stays_bounded(self):
+        # per-chunk nu peaks near 3 MiB here; a kept table of the 80,024 screened pairs adds 9 MB
+        family = mub_family(13)
+        traj = build_trajectory(preset_rates("eternal-general", d=13), t_max=5.0, steps=400)
+        tracemalloc.start()
+        try:
+            find_p_divisibility_witness(traj, family, seed=42)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20
 
 
 _TANH_PARAMS = st.tuples(*(st.floats(lo, hi, allow_subnormal=False)

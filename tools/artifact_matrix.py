@@ -6,11 +6,12 @@ sets at d in {2, 3, 5, 7}; eternal-general and avg-decoherence at d in
 {11, 13}), avg-decoherence at d=31 (the widest trajectory.csv, with tied and
 constant columns), a few d=2 tanh rate sets, one d=3 tanh set whose BLP
 witness comes from a random state pair, the same set on a 10^4-step grid
-(every CSV column distinct), one 10^4-step eternal-general grid, one d=3
-rate with a 0.02-wide dip (a non-positive intermediate map between two
-nearby grid times), one d=3 set whose eigenvalue ratio overflows and two
-semigroups whose rate integrals leave the double range, each with seeds 42
-and 7, and prints one line per case::
+(every CSV column distinct), 10^4-step eternal-general (d=3) and
+avg-decoherence (d=7) grids, one d=3 rate with a 0.02-wide dip (a
+non-positive intermediate map between two nearby grid times), one d=3 set
+whose eigenvalue ratio overflows and two semigroups whose rate integrals
+leave the double range, each with seeds 42 and 7, and prints one line per
+case::
 
     <case> <sha256 of report.json> <sha256 of trajectory.csv>
 
@@ -92,6 +93,9 @@ def cases():
     yield "tanh-random-pair-d3-n10000", ["--d=3", "--steps=10000"] + tanh_argv(TANH_RANDOM_PAIR_D3)
     yield ("eternal-general-d3-t10-n10000",
            ["--preset=eternal-general", "--d=3", "--t-max=10", "--steps=10000"])
+    # the first 10^4-step case at d >= 7: adjacent pairs meet pairwise-summed CP margins
+    yield ("avg-decoherence-d7-t5-n10000",
+           ["--preset=avg-decoherence", "--d=7", "--t-max=5", "--steps=10000"])
     # not positive between t = 2.05 and 2.075 only
     yield ("short-window-d3",
            ["--d=3"] + ["--gamma=1"] * 3 + ["--gamma=1 - 3*exp(0-((t-2.06)/0.02)^2)"])
