@@ -24,7 +24,7 @@ import numpy as np
 from . import channel as channel_mod
 from . import dynamics as dyn
 from .errors import InvalidInputError, PaulidynError
-from .mub import is_prime, mub_family, unbiasedness_table
+from .mub import is_prime, mub_family, unbiasedness_arrays
 from .ratefn import PRESET_NAMES, PRESET_SUMMARIES, preset_rates, rate_set
 
 EXIT_OK = 0
@@ -60,6 +60,14 @@ def _json_text(data: dict) -> str:
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
+def _column_text(column: np.ndarray, fmt: str) -> list:
+    """``fmt % value`` for every entry of a 1-d int64 or float64 column, formatting
+    each distinct bit pattern once (0.0 and -0.0 stay apart)."""
+    bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
+    text = [fmt % value for value in bits.view(column.dtype).tolist()]
+    return list(map(text.__getitem__, inverse.tolist()))
+
+
 def cmd_mub(args) -> int:
     d = args.d
     if not is_prime(d):
@@ -67,13 +75,12 @@ def cmd_mub(args) -> int:
     family = mub_family(d)
     out = Path(args.out)
     _write(out / f"mub_d{d}.json", _json_text(family.to_json_dict()))
-    rows = unbiasedness_table(family)
-    lines = ["alpha,beta,k,l,overlap_sq"]
-    for (a, b, k, l, val) in rows:
-        lines.append(f"{a},{b},{k},{l},{format(val, '.17g')}")
-    _write(out / f"mub_d{d}_overlaps.csv", "\n".join(lines) + "\n")
-    worst = max(abs(val - 1.0 / d) for (_, _, _, _, val) in rows)
-    print(f"d={d}: {family.n_bases} bases, {len(rows)} cross-overlap rows, "
+    *index, values = unbiasedness_arrays(family)
+    text = [_column_text(column, "%d") for column in index] + [_column_text(values, "%.17g")]
+    lines = "\n".join(map(",".join, zip(*text)))
+    _write(out / f"mub_d{d}_overlaps.csv", f"alpha,beta,k,l,overlap_sq\n{lines}\n")
+    worst = float(np.abs(values - 1.0 / d).max())
+    print(f"d={d}: {family.n_bases} bases, {len(values)} cross-overlap rows, "
           f"max |overlap^2 - 1/d| = {worst:.3e}")
     print(f"wrote {out / f'mub_d{d}.json'} and {out / f'mub_d{d}_overlaps.csv'}")
     return EXIT_OK

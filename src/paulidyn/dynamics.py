@@ -62,6 +62,8 @@ SEESAW_CHAINS = 12
 TIE_ULPS = 64
 #: grid pairs per chunk of a linear-form scan; bounds its memory
 _PAIR_CHUNK = 2048
+#: elements of the largest temporary one stack of probe operators holds; bounds its memory
+_STACK_ELEMENTS = 2**16
 #: trajectory.csv rows built per block; bounds the per-value strings held at once
 _CSV_BLOCK_ROWS = 512
 
@@ -106,11 +108,13 @@ def build_trajectory(rates: RateSet, t_max: float, steps: int = 400,
                      tol: float = 1e-10) -> Trajectory:
     """Integrate the rate set cumulatively over a uniform grid on [0, t_max].
 
-    Per rate, one array call samples it on the grid and integrates every
-    subinterval to ``tol / steps`` in one adaptive-Simpson pass, so the
-    accumulated error stays below ``tol``.  A map eigenvalue that overflows,
-    or a log eigenvalue G_alpha - G beyond the double range, raises
-    :class:`EvaluationError` naming it and the first such grid time.
+    Per distinct rate source, one array call samples it on the grid and
+    integrates every subinterval to ``tol / steps`` in one adaptive-Simpson
+    pass, so the accumulated error stays below ``tol``; rates with the same
+    source copy its rows, and a failing source is named by its first rate.  A
+    map eigenvalue that overflows, or a log eigenvalue G_alpha - G beyond the
+    double range, raises :class:`EvaluationError` naming it and the first
+    such grid time.
     """
     if not (math.isfinite(t_max) and t_max > 0):
         raise InvalidInputError(f"t_max must be positive and finite, got {t_max!r}")
@@ -120,7 +124,12 @@ def build_trajectory(rates: RateSet, t_max: float, steps: int = 400,
     grid = np.linspace(0.0, float(t_max), steps + 1)
     gammas = np.empty((d + 1, steps + 1))
     big = np.empty((d + 1, steps + 1))
+    first = {}  # source -> the first rate with it
     for a, expr in enumerate(rates.rates):
+        b = first.setdefault(expr.source, a)
+        if b < a:
+            gammas[a], big[a] = gammas[b], big[b]
+            continue
         try:
             gammas[a], big[a] = running_integral(expr, grid, tol / steps)
         except QuadratureError as exc:
@@ -203,6 +212,13 @@ def evolve_operator(traj: Trajectory, family: MubFamily, x) -> np.ndarray:
     if traj.dim != family.dim:
         raise DimensionError(f"family is d={family.dim}, trajectory is d={traj.dim}")
     return spectral_apply(family, traj.lambdas.T, arr)
+
+
+def _stacks(count: int, item_elements: int):
+    """Slices of successive items, as many per slice (at least one) as keep
+    ``item_elements`` per item within ``_STACK_ELEMENTS``."""
+    step = max(1, _STACK_ELEMENTS // item_elements)
+    return [slice(lo, lo + step) for lo in range(0, count, step)]
 
 
 # ---------------------------------------------------------------------------
@@ -398,19 +414,25 @@ def check_frobenius_monotone(traj: Trajectory, family: MubFamily | None = None,
     Analytically, d/dt lambda_alpha^2 <= 0 iff mu_alpha <= 0, which is the
     same content as the necessary condition; the verdict is driven by that
     sign.  When a family is supplied, ``samples`` random Hermitian operators
-    are also pushed through the grid as a numerical cross-check; a sampled
-    increase while the analytic check holds is an internal error.
+    are also pushed through the grid, in stacks bounded by ``_STACK_ELEMENTS``,
+    as a numerical cross-check; a sampled increase while the analytic check
+    holds is an internal error.
     """
     verdict = _axis_mu_verdict(
         "frobenius_monotone", traj, lambda a: f"-d/dt lambda_{a}^2 (sign of -mu_{a})"
     )
     if family is None or samples <= 0:
         return verdict
+    if family.dim != traj.dim:
+        raise DimensionError(f"family is d={family.dim}, trajectory is d={traj.dim}")
+    xs = random_hermitian(traj.dim, np.random.default_rng(seed), samples)
     worst_rel = 0.0
-    for x in random_hermitian(traj.dim, np.random.default_rng(seed), samples):
-        orbit = evolve_operator(traj, family, x)
-        norms = np.linalg.norm(orbit, axis=(1, 2))
-        increases = np.diff(norms) / np.maximum(norms[:-1], 1e-300)
+    for part in _stacks(samples, (traj.steps + 1) * traj.dim ** 2):
+        # a name keeps this orbit allocated while the next is built: freed first, its
+        # pages can go back to the system and fault in again (2x the time at 10^4 steps)
+        orbit = spectral_apply(family, traj.lambdas.T, xs[part])
+        norms = np.linalg.norm(orbit, axis=(-2, -1))
+        increases = np.diff(norms, axis=-1) / np.maximum(norms[:, :-1], 1e-300)
         worst_rel = max(worst_rel, float(increases.max()))
     if verdict.holds and worst_rel > TOL_WITNESS_NORM:
         raise InternalConsistencyError(
@@ -637,45 +659,89 @@ def find_p_divisibility_witness(traj: Trajectory, family: MubFamily,
     return max(witnesses, key=lambda w: w.magnitude, default=None)
 
 
-def _trace_distances(traj: Trajectory, family: MubFamily, delta: np.ndarray) -> np.ndarray:
-    """||X(t)||_1 at every grid time for the orbit X(t) = sum_a lambda_a(t) B_a(delta).
+def _trace_distances(traj: Trajectory, family: MubFamily, deltas: np.ndarray) -> np.ndarray:
+    """||X(t)||_1 at every grid time for each orbit X(t) = sum_a lambda_a(t) B_a(delta).
 
-    ``delta`` is traceless and Hermitian up to rounding.  Axis blocks below
-    the rounding residue of :func:`axis_blocks` count as zero.  With one axis
-    a left, ||X||_1 = lambda_a ||B_a||_1, read off the diagonal of B_a in
-    basis a.  At d <= 3, X has at most three nonzero
-    eigenvalues, the roots of x^3 - p x - c with p = Tr X^2 / 2 and
-    c = Tr X^3 / 3, so ||X||_1 = 4 sqrt(p/3) cos(arccos(r) / 3) with
-    r = 3 sqrt(3) |c| / (2 p^(3/2)); c = 0 at d = 2.  The blocks are
-    Hilbert-Schmidt orthogonal, so p is a weighted sum of lambda_a^2, and c
-    is a cubic form in lambda.  Both are formed from lambda_a ||B_a||_F over
-    its largest value at each time, taken in log space, so neither lambda^2
-    nor p^(3/2) underflows while lambda is a normal double.  Other orbits
-    (d >= 5) are evolved and go through ``eigvalsh``.
+    ``deltas`` has shape (..., d, d), each traceless and Hermitian up to
+    rounding; the result has shape (..., N+1).  Axis blocks below the
+    rounding residue of :func:`axis_blocks` count as zero.  With one axis a
+    left, ||X||_1 = lambda_a ||B_a||_1, read off the diagonal of B_a in basis
+    a.  At d <= 3, X has at most three nonzero eigenvalues, the roots of
+    x^3 - p x - c with p = Tr X^2 / 2 and c = Tr X^3 / 3, so
+    ||X||_1 = 4 sqrt(p/3) cos(arccos(r) / 3) with r = 3 sqrt(3) |c| / (2 p^(3/2));
+    c = 0 at d = 2.  The blocks are Hilbert-Schmidt orthogonal, so p is a
+    weighted sum of lambda_a^2, and c is a cubic form in lambda.  Both are
+    formed from lambda_a ||B_a||_F over its largest value at each time, taken
+    in log space, so neither lambda^2 nor p^(3/2) underflows while lambda is
+    a normal double.  Other orbits (d >= 5) are evolved and go through
+    ``eigvalsh``.  The operators are taken in stacks whose largest temporary
+    holds at most ``_STACK_ELEMENTS`` elements (one operator at least).
     """
-    d = traj.dim
-    blocks = axis_blocks(family, delta)
+    d, n = traj.dim, traj.steps + 1
+    flat = np.reshape(deltas, (-1, d, d))
+    dists = np.empty((len(flat), n))
+    for part in _stacks(len(flat), (d + 1) * d * d):
+        _stack_distances(traj, family, flat[part], dists[part])
+    return dists.reshape(np.shape(deltas)[:-2] + (n,))
+
+
+def _stack_distances(traj: Trajectory, family: MubFamily, deltas: np.ndarray, out: np.ndarray):
+    """Fill ``out`` (S, N+1) with the trace distances of the (S, d, d) stack ``deltas``."""
+    d, n = traj.dim, traj.steps + 1
+    blocks = axis_blocks(family, deltas)
     norms = np.linalg.norm(blocks, axis=(-2, -1))
-    residue = BLP_ROUNDING_FLOOR * np.finfo(float).eps * d * np.linalg.norm(norms)
-    live = np.flatnonzero(norms > residue)
-    if live.size <= 1:  # X = lambda_a B_a (or 0), and B_a is diagonal in basis a
-        vecs = family.bases[live]
-        diag = np.einsum("kli,ij,klj->kl", vecs.conj(), delta, vecs).real
-        return np.abs(diag - np.trace(delta).real / d).sum(axis=1) @ traj.lambdas[live]
+    # each row's 2-norm as np.linalg.norm takes a vector's: the square root of one dot product
+    size = np.sqrt((norms[:, None, :] @ norms[:, :, None])[:, 0, 0])
+    live = norms > BLP_ROUNDING_FLOOR * np.finfo(float).eps * d * size[:, None]
+    count = live.sum(axis=1)
+    one = np.flatnonzero(count <= 1)
+    if one.size:  # X = lambda_a B_a (or 0), and B_a is diagonal in basis a
+        axis = live[one].argmax(axis=1)
+        vecs = family.bases[axis]
+        diag = np.einsum("pli,pij,plj->pl", vecs.conj(), deltas[one], vecs).real
+        trace = np.trace(deltas[one], axis1=-2, axis2=-1).real / d
+        scale = np.where(count[one] == 1, np.abs(diag - trace[:, None]).sum(axis=1), 0.0)
+        out[one] = scale[:, None] * traj.lambdas[axis]
+    rest = np.flatnonzero(count > 1)
     if d > 3:
-        orbit = evolve_operator(traj, family, delta)
-        orbit = 0.5 * (orbit + np.conj(np.swapaxes(orbit, -1, -2)))
-        return np.abs(np.linalg.eigvalsh(orbit)).sum(axis=1)
-    log_w = traj.log_lambdas[live].T + np.log(norms[live])
+        del blocks  # spectral_apply rebuilds each sub-stack's blocks; hold one stack at a time
+        for part in _stacks(rest.size, n * d * d):
+            orbit = spectral_apply(family, traj.lambdas.T, deltas[rest[part]])
+            orbit = 0.5 * (orbit + np.conj(np.swapaxes(orbit, -1, -2)))
+            out[rest[part]] = np.abs(np.linalg.eigvalsh(orbit)).sum(axis=-1)
+        return
+    codes = live[rest] @ (1 << np.arange(d + 1))  # pairs with the same live axes share a form
+    log_lam = traj.log_lambdas
+    for code in dict.fromkeys(codes.tolist()):
+        group = rest[codes == code]
+        axes = np.flatnonzero(live[group[0]])
+        for part in _stacks(group.size, n * axes.size ** 2):
+            idx = group[part]
+            out[idx] = _cubic_distances(log_lam[axes], blocks[idx][:, axes], norms[idx][:, axes])
+
+
+def _cubic_distances(log_lam: np.ndarray, blocks: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """The d <= 3 closed form for a stack of orbits on the same k live axes:
+    ``log_lam`` (k, N+1) of those axes, their ``blocks`` (S, k, d, d) and
+    ``norms`` (S, k).  Returns (S, N+1).
+
+    Each orbit's arrays are laid out as one orbit's would be on its own (time
+    the fastest axis of y, ``outer`` row-major, ``cube`` a strided real view),
+    so every sum runs in the same order and the result is the same bit for
+    bit however the orbits are stacked.
+    """
+    log_w = log_lam + np.log(norms)[:, :, None]  # (S, k, N+1)
     top = log_w.max(axis=1)
-    y = np.exp(log_w - top[:, None])  # (N+1, k), largest entry 1 per row
+    y = np.exp(log_w - top[:, None])  # largest entry 1 per time
     p = 0.5 * (y * y).sum(axis=1)
     dists = np.exp(top) * 2.0 * np.sqrt(p)  # ||X||_1 when c = 0
-    if d == 3:
-        unit = blocks[live] / norms[live, None, None]
-        cube = np.einsum("aij,bjk,cki->abc", unit, unit, unit).real  # Re Tr(B_a B_b B_c)
-        outer = (y[:, :, None] * y[:, None, :]).reshape(len(y), -1)
-        c = np.einsum("ta,ta->t", outer @ cube.reshape(-1, live.size), y) / 3.0
+    if blocks.shape[-1] == 3:
+        k = len(log_lam)
+        unit = blocks / norms[:, :, None, None]
+        cube = np.einsum("saij,sbjk,scki->sabc", unit, unit, unit).real  # Re Tr(B_a B_b B_c)
+        y = np.swapaxes(y, 1, 2)  # (S, N+1, k)
+        outer = (y[..., :, None] * y[..., None, :]).reshape(len(y), y.shape[1], -1)
+        c = np.einsum("sta,sta->st", outer @ cube.reshape(len(y), -1, k), y) / 3.0
         r = np.minimum(1.0, 3.0 * math.sqrt(3.0) * np.abs(c) / (2.0 * p ** 1.5))
         dists *= 2.0 / math.sqrt(3.0) * np.cos(np.arccos(r) / 3.0)
     return dists
@@ -691,7 +757,7 @@ def check_blp(traj: Trajectory, family: MubFamily, pairs=20, seed: int = 42) -> 
     pair, then the earliest step, is reported.  A rise counts only when it exceeds
     ``BLP_ROUNDING_FLOOR`` ulps of d times the initial distance, so a
     distance that has decayed into rounding noise cannot fake back-flow.
-    Distances come from :func:`_trace_distances`.
+    Distances come from :func:`_trace_distances`, as one (pairs, N+1) table.
     """
     d = traj.dim
     if family.dim != d:
@@ -705,15 +771,16 @@ def check_blp(traj: Trajectory, family: MubFamily, pairs=20, seed: int = 42) -> 
         rhos = random_density_matrix(d, np.random.default_rng(seed), 2 * (pairs - len(b)))
         deltas = np.concatenate((projs[:, 0] - projs[:, 1], rhos[0::2] - rhos[1::2]))
     else:
-        deltas = [as_square_matrix(rho1, d) - as_square_matrix(rho2, d) for rho1, rho2 in pairs]
-        if any(abs(np.trace(delta)) > TOL_CONDITION for delta in deltas):
+        deltas = np.array([as_square_matrix(rho1, d) - as_square_matrix(rho2, d)
+                           for rho1, rho2 in pairs], dtype=complex).reshape(-1, d, d)
+        if np.any(np.abs(np.trace(deltas, axis1=1, axis2=2)) > TOL_CONDITION):
             raise InvalidInputError("the two states of a BLP pair must have equal traces")
-    rel = np.zeros((len(deltas), traj.steps))
-    for delta, row in zip(deltas, rel):
-        dists = _trace_distances(traj, family, delta)
-        rise = np.diff(dists)
-        above = rise > BLP_ROUNDING_FLOOR * np.finfo(float).eps * d * dists[0]
-        row[above] = rise[above] / np.maximum(dists[:-1][above], 1e-300)
+    dists = _trace_distances(traj, family, deltas)
+    rel = np.diff(dists, axis=1)
+    above = rel > BLP_ROUNDING_FLOOR * np.finfo(float).eps * d * dists[:, :1]
+    # in place: the table is not read again
+    np.divide(rel, np.maximum(dists[:, :-1], 1e-300, out=dists[:, :-1]), out=rel, where=above)
+    rel[~above] = 0.0
     top = float(rel.max(initial=0.0))
     if top <= TOL_WITNESS_NORM:
         return None

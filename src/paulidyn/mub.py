@@ -249,15 +249,17 @@ def spectral_apply(family: MubFamily, eig: np.ndarray, x: np.ndarray) -> np.ndar
     return out
 
 
+def unbiasedness_arrays(family: MubFamily) -> tuple:
+    """All cross-basis squared overlaps |<psi_k|phi_l>|^2 of basis alpha < beta, as five
+    (R,) columns alpha, beta, k, l (int64) and the overlaps, in (alpha, beta, k, l) order."""
+    d = family.dim
+    a, b = np.triu_indices(family.n_bases, 1)
+    overlaps = np.einsum("akm,blm->abkl", family.bases.conj(), family.bases)[a, b]
+    k, l = np.divmod(np.arange(d * d, dtype=np.int64), d)
+    return (np.repeat(a + 1, d * d), np.repeat(b + 1, d * d), np.tile(k, a.size),
+            np.tile(l, a.size), (np.abs(overlaps) ** 2).reshape(-1))
+
+
 def unbiasedness_table(family: MubFamily) -> list:
     """All cross-basis squared overlaps, as (alpha, beta, k, l, |<psi|phi>|^2) rows."""
-    rows = []
-    n = family.n_bases
-    overlaps = np.einsum("akm,blm->abkl", family.bases.conj(), family.bases)
-    sq = np.abs(overlaps) ** 2
-    for a in range(n):
-        for b in range(a + 1, n):
-            for k in range(family.dim):
-                for l in range(family.dim):
-                    rows.append((a + 1, b + 1, k, l, float(sq[a, b, k, l])))
-    return rows
+    return list(zip(*(column.tolist() for column in unbiasedness_arrays(family))))

@@ -27,6 +27,31 @@ class TestMub:
         for line in lines[1:]:
             assert abs(float(line.split(",")[4]) - 1.0 / 3.0) <= 1e-12
 
+    @pytest.mark.parametrize("d", [2, 5, 13])
+    def test_overlaps_csv_equals_row_by_row_formatting(self, d, tmp_path, capsys):
+        from paulidyn.mub import mub_family, unbiasedness_table
+
+        rows = unbiasedness_table(mub_family(d))
+        expected = "".join(f"{a},{b},{k},{l},{format(val, '.17g')}\n"
+                           for (a, b, k, l, val) in rows)
+        code, out, _ = run(["mub", "--d", str(d), "--out", str(tmp_path)], capsys)
+        assert code == 0
+        text = (tmp_path / f"mub_d{d}_overlaps.csv").read_text()
+        assert text == "alpha,beta,k,l,overlap_sq\n" + expected
+        worst = max(abs(val - 1.0 / d) for (*_, val) in rows)
+        assert f"{len(rows)} cross-overlap rows, max |overlap^2 - 1/d| = {worst:.3e}" in out
+
+    def test_unbiasedness_table_rows(self):
+        from paulidyn.mub import mub_family, unbiasedness_table
+
+        family = mub_family(3)
+        sq = np.abs(np.einsum("akm,blm->abkl", family.bases.conj(), family.bases)) ** 2
+        expected = [(a + 1, b + 1, k, l, float(sq[a, b, k, l]))
+                    for a in range(4) for b in range(a + 1, 4) for k in range(3) for l in range(3)]
+        rows = unbiasedness_table(family)
+        assert rows == expected
+        assert all(type(x) is int for row in rows for x in row[:4])
+
     def test_d2_bases_match_textbook_up_to_phase(self, tmp_path, capsys):
         code, *_ = run(["mub", "--d", "2", "--out", str(tmp_path)], capsys)
         assert code == 0

@@ -109,6 +109,33 @@ class TestBuildTrajectory:
         with pytest.raises(QuadratureError, match="gamma_2"):
             build_trajectory(rates, t_max=1.000001, steps=4)
 
+    @pytest.mark.parametrize("rates", [
+        preset_rates("avg-decoherence", d=5),
+        preset_rates("eternal-general", d=7),
+        preset_rates("semigroup", constants=(0.5, -0.2, 0.5, -0.2)),
+    ], ids=["avg-decoherence", "eternal-general", "semigroup"])
+    def test_tied_rates_are_integrated_once(self, rates, monkeypatch):
+        from paulidyn.ratefn import running_integral
+
+        sources = []
+
+        def counting(expr, grid, tol):
+            sources.append(expr.source)
+            return running_integral(expr, grid, tol)
+
+        monkeypatch.setattr("paulidyn.dynamics.running_integral", counting)
+        traj = build_trajectory(rates, t_max=5.0, steps=400)
+        assert sources == list(dict.fromkeys(expr.source for expr in rates.rates))
+        for a, expr in enumerate(rates.rates):  # bit for bit as integrating every rate
+            gamma, big = running_integral(expr, traj.grid, 1e-10 / 400)
+            assert traj.gammas[a].tobytes() == gamma.tobytes()
+            assert traj.big_gammas[a].tobytes() == big.tobytes()
+
+    def test_quadrature_failure_names_the_first_tied_rate(self):
+        rates = rate_set(2, ["1", "1/(t - 0.5)", "1/(t - 0.5)"])
+        with pytest.raises(QuadratureError, match="gamma_2"):
+            build_trajectory(rates, t_max=1.000001, steps=4)
+
     def test_tolerance_below_rounding_noise_fails_on_a_grid(self):
         # every step keeps splitting; the pass must stop with an error, not run out of memory
         with pytest.raises(QuadratureError, match="gamma_1"):

@@ -4,8 +4,8 @@ Runs the command in-process for every case of the ROADMAP preset matrix
 (eternal-qubit; eternal-general, avg-decoherence and four semigroup constant
 sets at d in {2, 3, 5, 7}; eternal-general and avg-decoherence at d in
 {11, 13}), avg-decoherence at d=31 (the widest trajectory.csv, with tied and
-constant columns), a few d=2 tanh rate sets, one d=3 tanh set whose BLP
-witness comes from a random state pair, the same set on a 10^4-step grid
+constant columns), a few d=2 tanh rate sets, one d=3 and one d=5 tanh set
+whose BLP witness comes from a random state pair, the d=3 set on a 10^4-step grid
 (every CSV column distinct), 10^4-step eternal-general (d=3) and
 avg-decoherence (d=7) grids, one d=3 rate with a 0.02-wide dip (a
 non-positive intermediate map between two nearby grid times), one d=3 set
@@ -57,6 +57,12 @@ TANH_SETS = (
 TANH_RANDOM_PAIR_D3 = ((-0.2, -0.2, 1.6, 3.9), (1.1, 0.1, 0.9, 2.7), (1.0, 0.2, 0.6, 0.2),
                        (-0.2, -0.9, 1.9, 3.7))
 
+# a d=5 set whose BLP witness, for seeds 42 and 7, is on a random pair: 14 pairs go
+# through eigvalsh
+TANH_BLP_D5 = ((-0.2682, -0.9702, 1.1009, 2.913), (1.0535, 0.2511, 1.8591, 3.4588),
+               (-0.2073, 0.7323, 1.5423, 1.1115), (0.8347, 0.7304, 0.809, 2.1082),
+               (-0.4713, 0.1665, 0.7044, 3.0599), (-0.2875, -0.3745, 0.3246, 0.1302))
+
 
 def tanh_argv(params) -> list:
     """--gamma flags for rates a + b*tanh(c*(t - e))."""
@@ -90,6 +96,7 @@ def cases():
     for k, params in enumerate(TANH_SETS, 1):
         yield f"tanh{k}-d2", ["--d=2"] + tanh_argv(params)
     yield "tanh-random-pair-d3", ["--d=3"] + tanh_argv(TANH_RANDOM_PAIR_D3)
+    yield "tanh-blp-d5", ["--d=5"] + tanh_argv(TANH_BLP_D5)
     yield "tanh-random-pair-d3-n10000", ["--d=3", "--steps=10000"] + tanh_argv(TANH_RANDOM_PAIR_D3)
     yield ("eternal-general-d3-t10-n10000",
            ["--preset=eternal-general", "--d=3", "--t-max=10", "--steps=10000"])
