@@ -60,9 +60,7 @@ SCREEN_GRID = 401
 SEESAW_CHAINS = 12
 #: witness-search values this many ulps of their scale apart count as tied
 TIE_ULPS = 64
-#: grid pairs per chunk of a linear-form scan; bounds its memory
-_PAIR_CHUNK = 2048
-#: elements of the largest temporary one stack of probe operators holds; bounds its memory
+#: elements in the largest temporary of one stack of probe operators or grid pairs
 _STACK_ELEMENTS = 2**16
 #: trajectory.csv rows built per block; bounds the per-value strings held at once
 _CSV_BLOCK_ROWS = 512
@@ -340,9 +338,11 @@ def check_cptp_trajectory(traj: Trajectory) -> Verdict:
 
 
 def check_cp_divisible(traj: Trajectory) -> Verdict:
-    """CP-divisible iff every rate is nonnegative at every time."""
+    """CP-divisible iff every rate is nonnegative at every time, judged on the
+    exact sign: a rate of -eps lowers the CP margin by about d * eps * t and the
+    pair and necessary sums by up to d * eps, beyond what their slack absorbs."""
     labels = [f"gamma_{a + 1}" for a in range(traj.dim + 1)]
-    return _verdict_from_margins("cp_divisible", traj.grid, traj.gammas, labels)
+    return _verdict_from_margins("cp_divisible", traj.grid, traj.gammas, labels, tol=0.0)
 
 
 def _axis_mu_verdict(criterion: str, traj: Trajectory, label) -> Verdict:
@@ -510,21 +510,23 @@ def _screen_pairs(log_lam: np.ndarray) -> tuple:
         adj = np.setdiff1d(np.arange(n, dtype=np.int32), sub[:-1][np.diff(sub) == 1])
         pairs = np.insert(pairs, np.searchsorted(pairs[0], adj), [adj, adj + 1], axis=1)
     non_cp = np.concatenate([cp_margins(np.ascontiguousarray(nus.T))[1] < 0  # sum across rows
-                             for _, nus in _pair_chunks(log_lam, *pairs)])
+                             for _, nus in _pair_chunks(log_lam, *pairs, log_lam.shape[1])])
     return pairs[0, non_cp], pairs[1, non_cp]
 
 
-def _pair_chunks(log_lam: np.ndarray, pair_i: np.ndarray, pair_j: np.ndarray):
-    """Yield (offset, nu rows) for successive chunks of the grid pairs (i, j)."""
-    for lo in range(0, len(pair_i), _PAIR_CHUNK):
-        hi = lo + _PAIR_CHUNK  # np.take copies whole rows; int32 fancy indexing is 2-3x slower
-        yield lo, np.exp(np.take(log_lam, pair_j[lo:hi], 0) - np.take(log_lam, pair_i[lo:hi], 0))
+def _pair_chunks(log_lam: np.ndarray, pair_i: np.ndarray, pair_j: np.ndarray, width: int):
+    """Yield (offset, nu rows) for the chunks of the grid pairs (i, j) that ``_stacks``
+    cuts for a caller whose widest temporary holds ``width`` elements per pair."""
+    for part in _stacks(len(pair_i), width):
+        # np.take copies whole rows; int32 fancy indexing is 2-3x slower
+        nus = np.exp(np.take(log_lam, pair_j[part], 0) - np.take(log_lam, pair_i[part], 0))
+        yield part.start, nus
 
 
 def _best_pairs(log_lam: np.ndarray, pair_i: np.ndarray, pair_j: np.ndarray, q: np.ndarray):
     """Per row of ``q``, the least nu . q + 1/d over the pairs and the first pair reaching it."""
     best, where = np.full(len(q), np.inf), np.zeros(len(q), dtype=int)
-    for lo, nus in _pair_chunks(log_lam, pair_i, pair_j):
+    for lo, nus in _pair_chunks(log_lam, pair_i, pair_j, max(len(q), q.shape[1])):
         vals = q @ nus.T
         k = vals.argmin(axis=1)
         low = vals[np.arange(len(q)), k]
@@ -644,7 +646,8 @@ def find_p_divisibility_witness(traj: Trajectory, family: MubFamily,
         nus = np.exp(log_lam[pair_j[chain]] - log_lam[pair_i[chain]])
         q = _overlap_form(family, psi, phi)
         c = int(np.argmin((nus * q).sum(axis=1)))
-        vals = np.concatenate([rows @ q[c] for _, rows in _pair_chunks(log_lam, pair_i, pair_j)])
+        vals = np.concatenate([rows @ q[c]
+                               for _, rows in _pair_chunks(log_lam, pair_i, pair_j, d + 1)])
         k = int(np.flatnonzero(vals <= vals.min() + _rounding_band(nus[c]))[0])
         gi, gj, best_psi = int(pair_i[k]), int(pair_j[k]), psi[c]
         v = intermediate_map(traj, gi, gj).as_channel(family)
@@ -674,50 +677,44 @@ def _trace_distances(traj: Trajectory, family: MubFamily, deltas: np.ndarray) ->
     formed from lambda_a ||B_a||_F over its largest value at each time, taken
     in log space, so neither lambda^2 nor p^(3/2) underflows while lambda is
     a normal double.  Other orbits (d >= 5) are evolved and go through
-    ``eigvalsh``.  The operators are taken in stacks whose largest temporary
-    holds at most ``_STACK_ELEMENTS`` elements (one operator at least).
+    ``eigvalsh``.  The operators are taken in stacks sized by ``_stacks`` for
+    the largest temporary per operator: the evolved orbit's (N+1) d^2 at
+    d >= 5, the cubic's (N+1) (d+1)^2 at d <= 3, and never less than the
+    (d+1) d^2 of its axis blocks.
     """
     d, n = traj.dim, traj.steps + 1
     flat = np.reshape(deltas, (-1, d, d))
     dists = np.empty((len(flat), n))
-    for part in _stacks(len(flat), (d + 1) * d * d):
-        _stack_distances(traj, family, flat[part], dists[part])
-    return dists.reshape(np.shape(deltas)[:-2] + (n,))
-
-
-def _stack_distances(traj: Trajectory, family: MubFamily, deltas: np.ndarray, out: np.ndarray):
-    """Fill ``out`` (S, N+1) with the trace distances of the (S, d, d) stack ``deltas``."""
-    d, n = traj.dim, traj.steps + 1
-    blocks = axis_blocks(family, deltas)
-    norms = np.linalg.norm(blocks, axis=(-2, -1))
-    # each row's 2-norm as np.linalg.norm takes a vector's: the square root of one dot product
-    size = np.sqrt((norms[:, None, :] @ norms[:, :, None])[:, 0, 0])
-    live = norms > BLP_ROUNDING_FLOOR * np.finfo(float).eps * d * size[:, None]
-    count = live.sum(axis=1)
-    one = np.flatnonzero(count <= 1)
-    if one.size:  # X = lambda_a B_a (or 0), and B_a is diagonal in basis a
-        axis = live[one].argmax(axis=1)
-        vecs = family.bases[axis]
-        diag = np.einsum("pli,pij,plj->pl", vecs.conj(), deltas[one], vecs).real
-        trace = np.trace(deltas[one], axis1=-2, axis2=-1).real / d
-        scale = np.where(count[one] == 1, np.abs(diag - trace[:, None]).sum(axis=1), 0.0)
-        out[one] = scale[:, None] * traj.lambdas[axis]
-    rest = np.flatnonzero(count > 1)
-    if d > 3:
-        del blocks  # spectral_apply rebuilds each sub-stack's blocks; hold one stack at a time
-        for part in _stacks(rest.size, n * d * d):
-            orbit = spectral_apply(family, traj.lambdas.T, deltas[rest[part]])
-            orbit = 0.5 * (orbit + np.conj(np.swapaxes(orbit, -1, -2)))
-            out[rest[part]] = np.abs(np.linalg.eigvalsh(orbit)).sum(axis=-1)
-        return
-    codes = live[rest] @ (1 << np.arange(d + 1))  # pairs with the same live axes share a form
     log_lam = traj.log_lambdas
-    for code in dict.fromkeys(codes.tolist()):
-        group = rest[codes == code]
-        axes = np.flatnonzero(live[group[0]])
-        for part in _stacks(group.size, n * axes.size ** 2):
-            idx = group[part]
-            out[idx] = _cubic_distances(log_lam[axes], blocks[idx][:, axes], norms[idx][:, axes])
+    for part in _stacks(len(flat), max(n * (d * d if d > 3 else (d + 1) ** 2), (d + 1) * d * d)):
+        stack, out = flat[part], dists[part]
+        blocks = axis_blocks(family, stack)
+        norms = np.linalg.norm(blocks, axis=(-2, -1))
+        # each row's 2-norm as np.linalg.norm takes a vector's: the square root of one dot product
+        size = np.sqrt((norms[:, None, :] @ norms[:, :, None])[:, 0, 0])
+        live = norms > BLP_ROUNDING_FLOOR * np.finfo(float).eps * d * size[:, None]
+        count = live.sum(axis=1)
+        one = np.flatnonzero(count <= 1)
+        if one.size:  # X = lambda_a B_a (or 0), and B_a is diagonal in basis a
+            axis = live[one].argmax(axis=1)
+            vecs = family.bases[axis]
+            diag = np.einsum("pli,pij,plj->pl", vecs.conj(), stack[one], vecs).real
+            trace = np.trace(stack[one], axis1=-2, axis2=-1).real / d
+            scale = np.where(count[one] == 1, np.abs(diag - trace[:, None]).sum(axis=1), 0.0)
+            out[one] = scale[:, None] * traj.lambdas[axis]
+        rest = np.flatnonzero(count > 1)
+        if d <= 3:
+            codes = live[rest] @ (1 << np.arange(d + 1))  # the same live axes share a form
+            for code in dict.fromkeys(codes.tolist()):
+                group = rest[codes == code]
+                axes = np.flatnonzero(live[group[0]])
+                out[group] = _cubic_distances(log_lam[axes], blocks[group][:, axes],
+                                              norms[group][:, axes])
+        elif rest.size:  # an antipodal pair alone in its stack leaves none to evolve
+            orbit = spectral_apply(family, traj.lambdas.T, stack[rest])
+            orbit = 0.5 * (orbit + np.conj(np.swapaxes(orbit, -1, -2)))
+            out[rest] = np.abs(np.linalg.eigvalsh(orbit)).sum(axis=-1)
+    return dists.reshape(np.shape(deltas)[:-2] + (n,))
 
 
 def _cubic_distances(log_lam: np.ndarray, blocks: np.ndarray, norms: np.ndarray) -> np.ndarray:

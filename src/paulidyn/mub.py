@@ -155,7 +155,8 @@ def mub_family(d: int) -> MubFamily:
     """
     d = _check_dim(d)
     if not is_prime(d):
-        raise UnsupportedDimensionError(f"complete MUB construction requires prime d, got {d}")
+        raise UnsupportedDimensionError(
+            f"d={d} is not prime; the complete MUB construction needs prime d")
     omega, r = np.exp(2j * np.pi / d), np.arange(d)
     # the powers weyl_basis uses, made exactly conjugate-symmetric: omega^-r = conj(omega^r)
     roots = np.where(2 * r > d, np.conj(omega ** (d - r)), omega ** r)

@@ -272,6 +272,13 @@ class TestDynamics:
         assert report["trace_norm_witness"] == {"found": False}
         assert report["blp_witness"] == {"found": False}
 
+    def test_rate_inside_the_slack_is_not_cp_divisible(self, tmp_path, capsys):
+        # -9e-13 is within the 1e-12 slack of the other checks; cp_divisible judges signs
+        code, out, err = run(["dynamics", "--preset", "semigroup", "--c", "0,0,-9e-13",
+                              "--out", str(tmp_path)], capsys)
+        assert code == 0, err
+        assert "cp_divisible: violated" in out
+
     def test_constants_starting_with_a_dash(self, tmp_path, capsys):
         code, _, err = run(["dynamics", "--preset", "semigroup", "--c", "-0.1,1,1",
                             "--steps", "40", "--attempts", "50", "--out", str(tmp_path)], capsys)

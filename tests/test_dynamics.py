@@ -9,6 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+import paulidyn.dynamics as dynamics
 from paulidyn.channel import choi_matrix, cp_margins
 from paulidyn.dynamics import (
     BLP_ROUNDING_FLOOR,
@@ -661,6 +662,14 @@ class TestClosedFormTraceDistance:
 
 
 class TestAnalyzeAndExports:
+    @pytest.mark.parametrize("constants", [(0.0, 0.0, -9e-13), (-9e-13,) * 4,
+                                           (0.0,) * 5 + (-5e-13,), (0.0, 0.0, 0.0, -9e-13)])
+    def test_rates_inside_the_slack_are_not_cp_divisible(self, constants):
+        # a rate of -eps lowers the CP-map margin by about d * eps * t, beyond the 1e-12
+        # slack; only the exact sign keeps "cp_divisible holds" consistent with it
+        _, report = analyze(preset_rates("semigroup", constants=constants))
+        assert report.cp_divisible.status == VIOLATED
+
     def test_analyze_eternal_qubit_report(self, family2):
         traj, report = analyze(
             preset_rates("eternal-qubit"), family2, t_max=5.0, steps=120,
@@ -975,6 +984,23 @@ class TestPairScreen:
             band = 4 * (d + 1) * np.finfo(float).eps * (1.0 + nus.sum(axis=1))
             assert np.all(np.abs(upper[flipped]) <= band[flipped])
 
+    @pytest.mark.parametrize("preset, d, steps", [
+        ("avg-decoherence", 3, 400), ("avg-decoherence", 13, 400), ("eternal-general", 5, 400),
+        ("eternal-general", 7, 400), ("eternal-general", 3, 10_000), ("short-window", 3, 400),
+    ])
+    def test_any_budget_gives_the_same_witness(self, preset, d, steps, monkeypatch):
+        # 64 (d+1) elements cut the screen and the tie scan into chunks of 64 pairs
+        rates = (rate_set(3, ["1", "1", "1", "1 - 3*exp(0-((t-2.06)/0.02)^2)"])
+                 if preset == "short-window" else preset_rates(preset, d=d))
+        family = mub_family(d)
+        traj = build_trajectory(rates, t_max=5.0, steps=steps)
+        found = []
+        for budget in (64 * (d + 1), 2**16, 10**9):
+            monkeypatch.setattr(dynamics, "_STACK_ELEMENTS", budget)
+            found.append(find_p_divisibility_witness(traj, family, seed=42).to_json_dict())
+        assert found[0]["kind"] == "positivity"  # from the pair scans, not the axis scan
+        assert found[0] == found[1] == found[2]
+
     def test_witness_search_memory_stays_bounded(self):
         # per-chunk nu peaks near 3 MiB here; a kept table of the 80,024 screened pairs adds 9 MB
         family = mub_family(13)
@@ -999,6 +1025,8 @@ _TANH_PARAMS = st.tuples(*(st.floats(lo, hi, allow_subnormal=False)
     (0.05403650911314417, -0.5376874543616508, 0.3711375805065803, 1.3599882057027664),
     (0.9373867775822459, 0.34224903144858154, 1.5774776030269693, 0.30060267919655415),
 ])
+# gamma_3 = 1e-12 tanh(t - 2) dips to -9.6e-13, inside the slack of the CP-map check
+@example(params=[(0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 1.0, 0.0), (0.0, 1e-12, 1.0, 2.0)])
 @settings(max_examples=40, deadline=None)
 def test_qubit_witness_iff_a_pair_sum_is_negative(params):
     # a qubit Pauli map with lambda > 0 is positive iff every lambda <= 1 (Fujiwara and

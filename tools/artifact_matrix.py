@@ -10,8 +10,9 @@ whose BLP witness comes from a random state pair, the d=3 set on a 10^4-step gri
 avg-decoherence (d=7) grids, one d=3 rate with a 0.02-wide dip (a
 non-positive intermediate map between two nearby grid times), one d=3 set
 whose eigenvalue ratio overflows and two semigroups whose rate integrals
-leave the double range, each with seeds 42 and 7, and prints one line per
-case::
+leave the double range, and two semigroups with a rate just below zero
+(inside the inequality slack), each with seeds 42 and 7, and prints one line
+per case::
 
     <case> <sha256 of report.json> <sha256 of trajectory.csv>
 
@@ -112,6 +113,9 @@ def cases():
     yield "overflow-simpson-d2", ["--preset=semigroup", "--c=1e308,1,1"]
     # every rate integral is finite, their sum G overflows near t = 3
     yield "overflow-total-d2", ["--preset=semigroup", "--c=2e307,2e307,2e307"]
+    # a negative rate inside the 1e-12 inequality slack: cp_divisible judges its exact sign
+    yield "semigroup-slack-d2", ["--preset=semigroup", "--c=0,0,-9e-13"]
+    yield "semigroup-slack-d3", ["--preset=semigroup", "--c=-9e-13,-9e-13,-9e-13,-9e-13"]
 
 
 def sha256(path: Path) -> str:
