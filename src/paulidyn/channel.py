@@ -21,8 +21,8 @@ import numpy as np
 
 from .errors import DimensionError, InvalidInputError
 from .linalg import as_square_matrix, min_eigenvalue_hermitian
-from .mub import (MubFamily, WeylBasis, commuting_classes, mub_family, spectral_apply,
-                  unitary_powers, weyl_basis)
+from .mub import (MubFamily, WeylBasis, from_weyl_coefficients, mub_family, spectral_apply,
+                  unitary_powers, weyl_basis, weyl_coefficients)
 
 #: slack used for the stored CP flag (absorbs float noise at the CP boundary)
 CP_FLAG_TOL = 1e-12
@@ -279,11 +279,11 @@ def weyl_channel(basis: WeylBasis, p) -> WeylChannel:
 
 
 def weyl_channel_apply(ch: WeylChannel, rho) -> np.ndarray:
+    """Conjugation by W_k'l' scales the Weyl coefficient [k, l] of rho by omega^(k'l - l'k), so
+    the channel scales it by mu[k, l] = sum p[k', l'] omega^(k'l - l'k) = fft2(p)[-l, k]."""
     arr = as_square_matrix(rho, ch.dim)
-    return np.einsum(
-        "kl,klmi,ij,klnj->mn", ch.probabilities, ch.basis.operators, arr,
-        ch.basis.operators.conj(),
-    )
+    mu = np.fft.fft2(ch.probabilities)[-np.arange(ch.dim)].T
+    return from_weyl_coefficients(mu * weyl_coefficients(arr))
 
 
 def weyl_channel_from_pauli(ch: GenPauliChannel, basis: WeylBasis | None = None) -> WeylChannel:
@@ -297,14 +297,8 @@ def weyl_channel_from_pauli(ch: GenPauliChannel, basis: WeylBasis | None = None)
         basis = weyl_basis(ch.dim)
     if basis.dim != ch.dim:
         raise DimensionError(f"Weyl basis dimension {basis.dim} != channel dimension {ch.dim}")
-    classes = commuting_classes(basis)
-    d = ch.dim
-    p = np.zeros((d, d))
-    p[0, 0] = ch.probabilities[0]
-    for a, cls in enumerate(classes):
-        for (k, l) in cls:
-            p[k, l] = ch.probabilities[a + 1] / (d - 1)
-    return WeylChannel(basis, _freeze(p))
+    weights = np.concatenate((ch.probabilities[:1], ch.probabilities[1:] / (ch.dim - 1)))
+    return WeylChannel(basis, _freeze(weights[ch.family.weyl_classes]))
 
 
 # ---------------------------------------------------------------------------

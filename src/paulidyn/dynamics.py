@@ -38,9 +38,10 @@ from .errors import (
     InvalidInputError,
     QuadratureError,
 )
-from .linalg import (as_square_matrix, complex_pairs, random_density_matrix, random_hermitian,
-                     random_pure_state, trace_norm)
-from .mub import MubFamily, axis_blocks, mub_family, spectral_apply
+from .linalg import (as_square_matrix, complex_pairs, hermitian_check, random_density_matrix,
+                     random_hermitian, random_pure_state, trace_norm)
+from .mub import (MubFamily, axis_blocks, class_sums, from_weyl_coefficients, mub_family,
+                  spectral_apply, weyl_coefficients)
 from .ratefn import RateSet, running_integral
 
 #: slack for inequality checks (separates float noise from violations)
@@ -400,11 +401,24 @@ def check_weyl_sufficient(weyl_gammas: np.ndarray, grid: np.ndarray, d: int) -> 
         raise InvalidInputError(f"need {d * d - 1} Weyl rates for d={d}, got {wg.shape[0]}")
     if wg.shape[1] != np.asarray(grid).shape[0]:
         raise InvalidInputError("Weyl rate columns must match the grid length")
+    return _weyl_verdict(grid, d, np.sort(wg, axis=0)[:d],
+                         (wg < -TOL_CONDITION).sum(axis=0) <= d - 1)
+
+
+def _weyl_verdict(grid: np.ndarray, d: int, smallest: np.ndarray, applicable) -> Verdict:
+    """The verdict on ``smallest``, the d smallest Weyl rates in ascending rows."""
     return _conditional_verdict(
-        "weyl_sufficient", grid, np.sort(wg, axis=0)[:d].sum(axis=0),
-        (wg < -TOL_CONDITION).sum(axis=0) <= d - 1,
+        "weyl_sufficient", grid, smallest.sum(axis=0), applicable,
         lambda i: f"sum of {d} smallest Weyl rates", f"more than {d - 1} negative Weyl rates",
     )
+
+
+def _class_weyl_sufficient(traj: Trajectory) -> Verdict:
+    """:func:`check_weyl_sufficient` on the class rates, without their (d^2-1, N+1) Weyl copy:
+    the d smallest are d-1 copies of the smallest class rate and one of the next."""
+    smallest = np.sort(traj.gammas, axis=0)[[0] * (traj.dim - 1) + [1]]
+    return _weyl_verdict(traj.grid, traj.dim, smallest,
+                         (traj.gammas < -TOL_CONDITION).sum(axis=0) <= 1)
 
 
 def check_frobenius_monotone(traj: Trajectory, family: MubFamily | None = None,
@@ -413,10 +427,10 @@ def check_frobenius_monotone(traj: Trajectory, family: MubFamily | None = None,
 
     Analytically, d/dt lambda_alpha^2 <= 0 iff mu_alpha <= 0, which is the
     same content as the necessary condition; the verdict is driven by that
-    sign.  When a family is supplied, ``samples`` random Hermitian operators
-    are also pushed through the grid, in stacks bounded by ``_STACK_ELEMENTS``,
-    as a numerical cross-check; a sampled increase while the analytic check
-    holds is an internal error.
+    sign.  When a family is supplied, the norms of ``samples`` random Hermitian
+    operators are also followed as a numerical cross-check, in closed form
+    ||Phi_t(x)||_F^2 = d x0^2 + sum_a lambda_a(t)^2 ||B_a(x)||_F^2, with ||B_a||_F^2 a
+    class sum of |c|^2 / d; an increase while the analytic check holds is an internal error.
     """
     verdict = _axis_mu_verdict(
         "frobenius_monotone", traj, lambda a: f"-d/dt lambda_{a}^2 (sign of -mu_{a})"
@@ -426,14 +440,10 @@ def check_frobenius_monotone(traj: Trajectory, family: MubFamily | None = None,
     if family.dim != traj.dim:
         raise DimensionError(f"family is d={family.dim}, trajectory is d={traj.dim}")
     xs = random_hermitian(traj.dim, np.random.default_rng(seed), samples)
-    worst_rel = 0.0
-    for part in _stacks(samples, (traj.steps + 1) * traj.dim ** 2):
-        # a name keeps this orbit allocated while the next is built: freed first, its
-        # pages can go back to the system and fault in again (2x the time at 10^4 steps)
-        orbit = spectral_apply(family, traj.lambdas.T, xs[part])
-        norms = np.linalg.norm(orbit, axis=(-2, -1))
-        increases = np.diff(norms, axis=-1) / np.maximum(norms[:, :-1], 1e-300)
-        worst_rel = max(worst_rel, float(increases.max()))
+    squares = class_sums(family, np.abs(weyl_coefficients(xs)) ** 2 / traj.dim)
+    norms = np.sqrt(squares[:, :1] + squares[:, 1:] @ traj.lambdas ** 2)
+    increases = np.diff(norms, axis=-1) / np.maximum(norms[:, :-1], 1e-300)
+    worst_rel = max(0.0, float(increases.max()))
     if verdict.holds and worst_rel > TOL_WITNESS_NORM:
         raise InternalConsistencyError(
             f"Frobenius norm grew ({worst_rel:.3e}) although the analytic check holds"
@@ -535,12 +545,11 @@ def _best_pairs(log_lam: np.ndarray, pair_i: np.ndarray, pair_j: np.ndarray, q: 
 
 
 def _overlap_form(family: MubFamily, psi: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """q_a = sum_l |<b_al|psi>|^2 |<b_al|phi>|^2 - 1/d per row: for unit vectors,
-    <phi|Phi_nu(psi psi^dag)|phi> = 1/d + nu . q.  (S, d) -> (S, d+1)."""
-    d = family.dim
-    bra = family.bases.reshape(-1, d).conj().T  # <b_al| for every vector of every basis
-    both = np.abs(psi @ bra) ** 2 * np.abs(phi @ bra) ** 2
-    return both.reshape(-1, d + 1, d).sum(axis=-1) - 1.0 / d
+    """q_a = sum_l |<b_al|psi>|^2 |<b_al|phi>|^2 - 1/d per row, so for unit vectors
+    <phi|Phi_nu(psi psi^dag)|phi> = 1/d + nu . q; the sum over l is a class-a sum over the
+    Weyl coefficients of psi psi^dag and phi phi^dag.  (S, d) -> (S, d+1)."""
+    c_psi, c_phi = (weyl_coefficients(v[:, :, None] * v[:, None, :].conj()) for v in (psi, phi))
+    return class_sums(family, (c_psi.conj() * c_phi).real)[:, 1:] / family.dim
 
 
 def _rounding_band(nus: np.ndarray) -> np.ndarray:
@@ -549,14 +558,10 @@ def _rounding_band(nus: np.ndarray) -> np.ndarray:
 
 
 def _pure_response(family: MubFamily, nus: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """Phi_nu(psi psi^dag) = V diag(nu_a |<b_al|psi>|^2) V^dag + (1 - sum nu)/d * I per row,
-    with V the d x d(d+1) matrix of all basis vectors.  (C, d+1), (C, d) -> (C, d, d)."""
-    d = family.dim
-    vecs = family.bases.reshape(-1, d)
-    weights = np.repeat(nus, d, axis=-1) * np.abs(psi @ vecs.conj().T) ** 2
-    out = (vecs.T * weights[:, None, :]) @ vecs.conj()
-    out[:, np.arange(d), np.arange(d)] += ((1.0 - nus.sum(axis=-1)) / d)[:, None]
-    return out
+    """Phi_nu(psi psi^dag) per row: the Weyl coefficients of psi psi^dag scaled by nu_a on
+    class a.  (C, d+1), (C, d) -> (C, d, d)."""
+    eig = np.concatenate((np.ones((len(nus), 1)), nus), axis=1)[:, family.weyl_classes]
+    return from_weyl_coefficients(eig * weyl_coefficients(psi[:, :, None] * psi[:, None, :].conj()))
 
 
 def _seesaw(family: MubFamily, nus: np.ndarray, psi: np.ndarray, phi: np.ndarray,
@@ -768,8 +773,10 @@ def check_blp(traj: Trajectory, family: MubFamily, pairs=20, seed: int = 42) -> 
         rhos = random_density_matrix(d, np.random.default_rng(seed), 2 * (pairs - len(b)))
         deltas = np.concatenate((projs[:, 0] - projs[:, 1], rhos[0::2] - rhos[1::2]))
     else:
-        deltas = np.array([as_square_matrix(rho1, d) - as_square_matrix(rho2, d)
-                           for rho1, rho2 in pairs], dtype=complex).reshape(-1, d, d)
+        states = [(as_square_matrix(rho1, d), as_square_matrix(rho2, d)) for rho1, rho2 in pairs]
+        if not all(hermitian_check(rho).is_hermitian for pair in states for rho in pair):
+            raise InvalidInputError("the states of a BLP pair must be Hermitian")
+        deltas = np.array([rho1 - rho2 for rho1, rho2 in states], dtype=complex).reshape(-1, d, d)
         if np.any(np.abs(np.trace(deltas, axis1=1, axis2=2)) > TOL_CONDITION):
             raise InvalidInputError("the two states of a BLP pair must have equal traces")
     dists = _trace_distances(traj, family, deltas)
@@ -878,9 +885,7 @@ def analyze(rates: RateSet, family: MubFamily | None = None, t_max: float = 5.0,
         cp_divisible=check_cp_divisible(traj),
         p_necessary=check_p_necessary(traj),
         p_sufficient=check_p_sufficient(traj),
-        weyl_sufficient=check_weyl_sufficient(
-            weyl_rates_from_trajectory(traj), traj.grid, traj.dim
-        ),
+        weyl_sufficient=_class_weyl_sufficient(traj),
         frobenius_monotone=check_frobenius_monotone(traj, family, seed=seed),
         trace_norm_witness=find_p_divisibility_witness(
             traj, family, attempts=witness_attempts, refine_iters=refine_iters, seed=seed

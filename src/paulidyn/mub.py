@@ -4,9 +4,9 @@ For prime ``d`` the ``d**2 - 1`` nontrivial Weyl operators split into ``d + 1``
 classes of ``d - 1`` mutually commuting unitaries; the common eigenbases of the
 classes form a complete family of ``d + 1`` mutually unbiased bases.  Each
 basis carries a full-dephasing channel (projector pinching) and a mixing map
-built from the powers of one unitary with spectrum ``{omega**l}``.  The
-spectral kernel (:func:`axis_blocks`, :func:`spectral_apply`) applies any map
-that is diagonal on the d+1 basis axes.
+built from the powers of one unitary with spectrum ``{omega**l}``.  Any map
+diagonal on the d+1 basis axes scales each Weyl coefficient of its input by
+the eigenvalue of its class (:func:`weyl_coefficients`, :func:`axis_blocks`).
 """
 
 from __future__ import annotations
@@ -15,12 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionError,
-    InternalConsistencyError,
-    InvalidInputError,
-    UnsupportedDimensionError,
-)
+from .errors import DimensionError, InvalidInputError, UnsupportedDimensionError
 from .linalg import KrausMap, as_square_matrix, complex_pairs
 
 
@@ -80,26 +75,12 @@ def weyl_basis(d: int) -> WeylBasis:
 
 
 def commuting_classes(basis: WeylBasis) -> tuple:
-    """Partition the nontrivial Weyl operators into d+1 commuting classes.
-
-    Each class is the orbit {W_{ak mod d, al mod d} : a = 1..d-1} of a seed.
-    Seeds are ordered Z, X, XZ, ..., XZ^(d-1), i.e. index pairs
-    (1,0), (0,1), (1,1), ..., (d-1,1).  Requires prime ``d``: only then do the
-    orbits partition all d^2 - 1 index pairs.
-
-    Returns a tuple of classes; each class is a tuple of (k, l) index pairs.
-    """
-    d = basis.dim
-    if not is_prime(d):
-        raise UnsupportedDimensionError(f"commuting classes need prime d, got {d}")
-    seeds = [(1, 0)] + [(k, 1) for k in range(d)]
-    classes = tuple(
-        tuple(((a * k) % d, (a * l) % d) for a in range(1, d)) for (k, l) in seeds
-    )
-    covered = {pair for cls in classes for pair in cls}
-    if len(covered) != d * d - 1:
-        raise InternalConsistencyError("Weyl class orbits failed to partition the index set")
-    return classes
+    """The d+1 commuting classes of the nontrivial Weyl operators, read from
+    :attr:`MubFamily.weyl_classes`: in basis order (seeds Z, X, XZ, ..., XZ^(d-1)),
+    each a tuple of (k, l) index pairs in row-major order.  Requires prime ``d``."""
+    table = mub_family(basis.dim).weyl_classes
+    return tuple(tuple(zip(*(i.tolist() for i in np.nonzero(table == alpha))))
+                 for alpha in range(1, basis.dim + 2))
 
 
 @dataclass(frozen=True)
@@ -110,12 +91,14 @@ class MubFamily:
     ``unitaries[a]`` is U_alpha = sum_l omega**l |psi_l><psi_l|, a unitary with
     spectrum exactly {omega**l}.  Basis alpha=1 is the eigenbasis of Z (the
     computational basis), followed by the eigenbases of X, XZ, ..., XZ^(d-1).
+    ``weyl_classes[k, l]`` is the basis alpha whose class holds W_kl, 0 for W_00.
     """
 
     dim: int
     bases: np.ndarray      # (d+1, d, d): [basis, vector, component]
     unitaries: np.ndarray  # (d+1, d, d)
     omega: complex
+    weyl_classes: np.ndarray  # (d, d) int
 
     @property
     def n_bases(self) -> int:
@@ -170,9 +153,12 @@ def mub_family(d: int) -> MubFamily:
     z[r, r] = omega ** r
     xz[:, (r + 1) % d, r] = omega ** ((r[:, None] * r) % d)
     unitaries = np.concatenate((z[None], xz / zeta[:, None, None]))
-    bases.setflags(write=False)
-    unitaries.setflags(write=False)
-    return MubFamily(dim=d, bases=bases, unitaries=unitaries, omega=omega)
+    # W_k0 = Z^k is in class 1, W_kl a power of X Z^(k/l) (Bandyopadhyay et al. 2002)
+    inverse = np.array([0] + [pow(a, -1, d) for a in range(1, d)])
+    classes = np.where(r == 0, np.where(r[:, None] == 0, 0, 1), (r[:, None] * inverse) % d + 2)
+    for arr in (bases, unitaries, classes):
+        arr.setflags(write=False)
+    return MubFamily(dim=d, bases=bases, unitaries=unitaries, omega=omega, weyl_classes=classes)
 
 
 # ---------------------------------------------------------------------------
@@ -210,26 +196,40 @@ def dephase_all(family: MubFamily, rho) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# The spectral kernel: every generalized Pauli action is diagonal on the axes
+# The kernel: every generalized Pauli action is diagonal on the Weyl coefficients
 # ---------------------------------------------------------------------------
+
+
+def weyl_coefficients(x: np.ndarray) -> np.ndarray:
+    """c[..., k, l] = Tr(W_kl^dag x) = sum_m x[m+l, m] omega^(-k m) of x (..., d, d):
+    one FFT over m of each wrapped diagonal l.  So x = sum_kl c[k, l] W_kl / d."""
+    m = np.arange(x.shape[-1])[:, None]
+    return np.fft.fft(x[..., (m + m.T) % len(m), m], axis=-2)
+
+
+def from_weyl_coefficients(c: np.ndarray) -> np.ndarray:
+    """sum_kl c[..., k, l] W_kl / d, the inverse of :func:`weyl_coefficients`."""
+    m = np.arange(c.shape[-1])[:, None]
+    x = np.empty(c.shape, dtype=complex)
+    x[..., (m + m.T) % len(m), m] = np.fft.ifft(c, axis=-2)
+    return x
 
 
 def axis_blocks(family: MubFamily, x: np.ndarray) -> np.ndarray:
     """Components B_alpha(x) = dephase_alpha(x) - x0*I of x on the d+1 basis axes.
 
     ``x`` has shape (..., d, d); the result has shape (..., d+1, d, d) and
-    x = x0*I + sum_alpha B_alpha(x) with x0 = Tr(x)/d.  Each dephasing is a
-    change of basis, a diagonal extraction and the reverse rebuild, batched
-    over the bases.  No validation: callers check their inputs.
+    x = x0*I + sum_alpha B_alpha(x) with x0 = Tr(x)/d.  B_alpha keeps the Weyl
+    coefficients of class alpha.  No validation: callers check their inputs.
     """
-    bases = family.bases
-    x0 = np.trace(x, axis1=-2, axis2=-1) / family.dim
-    rotated = bases.conj() @ x[..., None, :, :]  # rows <b_al| x
-    diag = (rotated * bases).sum(axis=-1)
-    blocks = (np.swapaxes(bases, -1, -2) * diag[..., None, :]) @ bases.conj()
-    r = np.arange(family.dim)
-    blocks[..., r, r] -= x0[..., None, None]
-    return blocks
+    masks = np.eye(family.n_bases + 1)[1:, family.weyl_classes]  # (d+1, d, d)
+    return from_weyl_coefficients(masks * weyl_coefficients(x)[..., None, :, :])
+
+
+def class_sums(family: MubFamily, values: np.ndarray) -> np.ndarray:
+    """Sums of ``values`` (..., d, d) over the [k, l] of each class: (..., d+2), slot 0 W_00."""
+    onehot = np.eye(family.n_bases + 1)[family.weyl_classes.reshape(-1)]
+    return values.reshape(values.shape[:-2] + (-1,)) @ onehot
 
 
 def spectral_apply(family: MubFamily, eig: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -16,6 +16,7 @@ from paulidyn.channel import (
     kraus_operators,
     probabilities_from_eigenvalues,
     weyl_channel,
+    weyl_channel_apply,
     weyl_channel_from_pauli,
 )
 from paulidyn.errors import DimensionError, InvalidInputError
@@ -239,7 +240,25 @@ class TestApply:
             ch(np.eye(2))
 
 
+def conjugation_sum(ch, rho):
+    """sum_kl p[k, l] W_kl rho W_kl^dag over the d^4 Weyl table: the O(d^6) form
+    weyl_channel_apply replaced, kept as its reference."""
+    ops = ch.basis.operators
+    return np.einsum("kl,klmi,ij,klnj->mn", ch.probabilities, ops, rho, ops.conj())
+
+
 class TestWeylChannel:
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7])
+    def test_matches_the_conjugation_sum(self, d, rng):
+        # quasi-probabilities and non-Hermitian inputs included; d = 4, 6 are not prime
+        wb = weyl_basis(d)
+        for _ in range(3):
+            p = rng.uniform(-0.5, 1.0, (d, d))
+            ch = weyl_channel(wb, p / p.sum())
+            rho = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            ref = conjugation_sum(ch, rho)
+            assert np.abs(weyl_channel_apply(ch, rho) - ref).max() <= 1e-13 * np.abs(ref).max()
+
     def test_uniform_depolarizes(self, rng):
         wb = weyl_basis(3)
         ch = weyl_channel(wb, np.full((3, 3), 1 / 9))

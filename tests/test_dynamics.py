@@ -441,6 +441,18 @@ class TestConditionChecks:
         )
         assert check_weyl_sufficient(weyl_rates_from_trajectory(traj), traj.grid, 3).holds
 
+    @pytest.mark.parametrize("d", [2, 3, 5, 7, 31])
+    def test_analyze_weyl_verdict_is_the_expanded_rate_check(self, d):
+        # bit for bit, the -0.0 rates of eternal-general at t = 0 included
+        trajs = [build_trajectory(preset_rates(name, d=d), t_max=5.0, steps=400)
+                 for name in ("eternal-general", "avg-decoherence")]
+        trajs += [_tanh_trajectory(d, seed) for seed in range(4)]
+        for traj in trajs:
+            got = dynamics._class_weyl_sufficient(traj)
+            ref = check_weyl_sufficient(weyl_rates_from_trajectory(traj), traj.grid, d)
+            assert got.to_json_dict() == ref.to_json_dict()
+            assert got.margin_series.tobytes() == ref.margin_series.tobytes()
+
     def test_weyl_shape_validation(self):
         traj = build_trajectory(preset_rates("eternal-qubit"), t_max=1.0, steps=4)
         with pytest.raises(InvalidInputError):
@@ -562,6 +574,15 @@ class TestBlp:
         pair = (family2.projector(1, 0), 2.0 * family2.projector(1, 1))
         with pytest.raises(InvalidInputError, match="equal traces"):
             check_blp(traj, family2, pairs=[pair])
+
+    def test_non_hermitian_pair_state_rejected(self, family2):
+        # its "trace distance" read 1.414 at t = 0, against a trace norm of 1.0
+        traj = build_trajectory(preset_rates("eternal-qubit"), t_max=2.0, steps=40)
+        pair = (np.array([[0.5, 1.0], [0.0, 0.5]]), np.eye(2) / 2)
+        with pytest.raises(InvalidInputError, match="Hermitian"):
+            check_blp(traj, family2, pairs=[pair])
+        noisy = (family2.projector(1, 0) + 1e-12j * PAULI[1], family2.projector(1, 1))
+        assert check_blp(traj, family2, pairs=[noisy]) is None
 
     def test_tied_semigroup_rises_report_the_earliest(self, family3):
         # in a semigroup every step scales lambda_1 by the same factor, so the rises tie

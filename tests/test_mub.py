@@ -10,14 +10,17 @@ from paulidyn.channel import probabilities_from_eigenvalues
 from paulidyn.linalg import matrices_close, random_complex_matrix, random_density_matrix
 from paulidyn.mub import (
     axis_blocks,
+    class_sums,
     commuting_classes,
     decoherence_channel,
+    from_weyl_coefficients,
     is_prime,
     mub_family,
     spectral_apply,
     unbiasedness_table,
     unitary_mixing_map,
     weyl_basis,
+    weyl_coefficients,
 )
 from tests.conftest import ALPHA_TO_PAULI, PAULI
 
@@ -324,6 +327,66 @@ class TestSpectralKernel:
         x0 = np.trace(xs, axis1=-2, axis2=-1) / d
         rebuilt = x0[:, None, None] * np.eye(d) + blocks.sum(axis=1)
         assert np.abs(rebuilt - xs).max() <= 1e-12
+
+
+def rotation_axis_blocks(family, x):
+    """B_alpha(x) by a change into each basis, its diagonal, and the way back: the
+    O(d^4) form the Weyl-coefficient kernel replaced, kept as its reference."""
+    bases = family.bases
+    x0 = np.trace(x, axis1=-2, axis2=-1) / family.dim
+    rotated = bases.conj() @ x[..., None, :, :]  # rows <b_al| x
+    diag = (rotated * bases).sum(axis=-1)
+    blocks = (np.swapaxes(bases, -1, -2) * diag[..., None, :]) @ bases.conj()
+    r = np.arange(family.dim)
+    blocks[..., r, r] -= x0[..., None, None]
+    return blocks
+
+
+def orbit_classes(d):
+    """Class alpha as the orbit {(a k, a l) mod d : a = 1..d-1} of its seed, seeds
+    Z, X, XZ, ..., XZ^(d-1): the construction the class table replaced."""
+    seeds = [(1, 0)] + [(k, 1) for k in range(d)]
+    return [{((a * k) % d, (a * l) % d) for a in range(1, d)} for (k, l) in seeds]
+
+
+class TestWeylCoefficientKernel:
+    @pytest.mark.parametrize("d", [2, 3, 5, 7, 11, 13, 31])
+    def test_class_table_matches_the_seed_orbits(self, d):
+        table = mub_family(d).weyl_classes
+        assert table[0, 0] == 0
+        for alpha, cls in enumerate(orbit_classes(d), 1):
+            assert {(k, l) for k, l in zip(*np.nonzero(table == alpha))} == cls
+        assert [set(c) for c in commuting_classes(weyl_basis(d))] == orbit_classes(d)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 13])
+    def test_coefficients_are_weyl_traces_and_invert(self, d, rng):
+        wb = weyl_basis(d)
+        xs = np.stack([random_complex_matrix(d, rng) for _ in range(3)])
+        c = weyl_coefficients(xs)
+        ref = np.einsum("klij,sij->skl", wb.operators.conj(), xs)  # Tr(W_kl^dag x)
+        assert np.abs(c - ref).max() <= 1e-13
+        assert np.abs(from_weyl_coefficients(c) - xs).max() <= 1e-14
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 7, 11, 13, 31])
+    def test_axis_blocks_match_the_basis_rotation(self, d, rng):
+        fam = mub_family(d)
+        xs = np.stack([random_complex_matrix(d, rng) for _ in range(3)]
+                      + [random_density_matrix(d, rng)])
+        ref = rotation_axis_blocks(fam, xs)
+        blocks = axis_blocks(fam, xs)
+        assert np.abs(blocks - ref).max() <= 1e-14 * d * np.abs(xs).max()
+        # a stack gives each operator's blocks bit for bit
+        assert all(axis_blocks(fam, x).tobytes() == b.tobytes() for x, b in zip(xs, blocks))
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 13])
+    def test_block_norms_are_class_sums(self, d, rng):
+        fam = mub_family(d)
+        xs = np.stack([random_complex_matrix(d, rng) for _ in range(3)])
+        sums = class_sums(fam, np.abs(weyl_coefficients(xs)) ** 2 / d)
+        x0 = np.trace(xs, axis1=-2, axis2=-1) / d
+        assert np.allclose(sums[:, 0], d * np.abs(x0) ** 2, rtol=1e-13, atol=0.0)
+        norms = np.linalg.norm(rotation_axis_blocks(fam, xs), axis=(-2, -1)) ** 2
+        assert np.allclose(sums[:, 1:], norms, rtol=1e-12, atol=1e-14)
 
 
 PRIMES_TO_31 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]

@@ -27,15 +27,25 @@ Whether two checkouts write byte-identical artifacts is then one ``diff``::
     PYTHONPATH=<other checkout>/src python3 tools/artifact_matrix.py > before.txt
     diff before.txt after.txt
 
+With ``--fields`` it prints what each ``report.json`` decides instead, one
+line per verdict and per witness, floats as ``repr``::
+
+    <case> <criterion> <status> <margin> <first_violation_time> <violations> <note>
+    <case> <witness> <kind> <s> <t> <magnitude>     (or ``<case> <witness> none``)
+
+so the same ``diff`` shows which decisions moved when the hashes differ.
+
 The ``paulidyn`` that runs is whichever one ``PYTHONPATH`` selects; its path
 goes to stderr.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -122,25 +132,46 @@ def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def run_case(argv: list, outputs=("report.json", "trajectory.csv")) -> str:
+def report_fields(path: Path) -> str:
+    """The verdicts and witnesses of a report.json, one line each, floats as repr."""
+    report = json.loads(path.read_text())
+    lines = [f"{name} {v['status']} {v['margin']!r} {v['first_violation_time']!r} "
+             f"{[(x['time'], x['label'], x['margin']) for x in v['violations']]!r} {v['note']!r}"
+             for name, v in report["criteria"].items()]
+    for name in ("trace_norm_witness", "blp_witness"):
+        w = report[name]
+        found = f"{w['kind']} {w['s']!r} {w['t']!r} {w['magnitude']!r}" if w["found"] else "none"
+        lines.append(f"{name} {found}")
+    return "\n".join(lines)
+
+
+def run_case(argv: list, outputs=("report.json", "trajectory.csv"), read=sha256) -> str:
     with tempfile.TemporaryDirectory() as tmp:
         out = io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
             code = main([*argv, f"--out={tmp}"])
         if code != 0:
             return f"exit={code}"
-        return " ".join(sha256(Path(tmp) / name) for name in outputs)
+        return " ".join(read(Path(tmp) / name) for name in outputs)
 
 
-def run_matrix() -> None:
+def run_matrix(fields: bool = False) -> None:
     print(f"paulidyn from {Path(paulidyn.__file__).parent}", file=sys.stderr)
     for name, argv in cases():
         for seed in SEEDS:
-            print(f"{name}-s{seed} {run_case(['dynamics', *argv, f'--seed={seed}'])}", flush=True)
+            argv_seed = ["dynamics", *argv, f"--seed={seed}"]
+            text = run_case(argv_seed, ("report.json",), report_fields) if fields else \
+                run_case(argv_seed)
+            print("\n".join(f"{name}-s{seed} {line}" for line in text.split("\n")), flush=True)
+    if fields:
+        return
     for d in MUB_DIMS:
         outputs = (f"mub_d{d}.json", f"mub_d{d}_overlaps.csv")
         print(f"mub-d{d} {run_case(['mub', f'--d={d}'], outputs)}", flush=True)
 
 
 if __name__ == "__main__":
-    run_matrix()
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--fields", action="store_true",
+                        help="print each report's verdicts and witnesses instead of the hashes")
+    run_matrix(parser.parse_args().fields)
