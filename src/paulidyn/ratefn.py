@@ -10,9 +10,14 @@ Grammar (EBNF; also documented in the README):
     NAME    := "tanh" | "exp" | "ln" | "cosh" | "sinh" | "pow" ;
 
 Precedence, tightest first: unary minus, "^", "*" and "/", "+" and "-";
-so "-t^2" means "(-t)^2".  The only variable is t.  Domain violations
-(ln of a nonpositive value, division by zero, overflow) raise
-:class:`EvaluationError`; evaluation never returns NaN silently.
+so "-t^2" means "(-t)^2".  The only variable is t.  A NUMBER must be a
+finite double: a literal beyond the double range, such as 1e999, is a
+:class:`ParseError` at its position.  Domain violations (ln of a nonpositive
+value, division by zero, overflow) raise :class:`EvaluationError`;
+evaluation never returns NaN silently.  A tree is evaluated on a whole array
+of times in one unchecked walk followed by a single finiteness test of every
+operator's output; only when that test fails does a second, checked walk
+run, so the error names the first offending operator and its earliest t.
 
 Bundled presets cover the standard experiment families: the eternally
 negative qubit rate set, its d-level generalization, the averaged-dephasing
@@ -150,7 +155,10 @@ class _Parser:
     def atom(self):
         kind, text, pos = self.take()
         if kind == "num":
-            return Num(float(text))
+            value = float(text)
+            if not math.isfinite(value):
+                raise ParseError(f"number {text} is outside the double range", pos)
+            return Num(value)
         if kind == "name":
             if text == "t":
                 return Var()
@@ -239,31 +247,51 @@ def _require(ok: np.ndarray, t: np.ndarray, message):
         raise EvaluationError(f"{message(i)} at t={float(t[i])!r}")
 
 
-def _eval_node(node, t: np.ndarray) -> np.ndarray:
-    """Values of the subtree at every time of the 1-d array ``t``, in one walk.
+def _walk(node, t: np.ndarray, checked: bool, outs: list) -> np.ndarray:
+    """Values of the subtree at every time of ``t``; appends each operator's output to ``outs``.
 
-    After each node: ln of a value <= 0, division by zero and any non-finite
-    result (overflow, or e.g. a fractional power of a negative number) raise
-    :class:`EvaluationError` naming the earliest offending t.
+    With ``checked``, after each operator: ln of a value <= 0, division by zero
+    and any non-finite result raise :class:`EvaluationError` naming the earliest
+    offending t.  Constants need no check: ``parse`` admits only finite literals.
     """
-    if isinstance(node, Var):
+    kind = type(node)
+    if kind is Var:
         return t
-    if isinstance(node, Neg):
-        return -_eval_node(node.operand, t)
-    if isinstance(node, Num):
-        name, out = "constant", np.full(t.shape, node.value)
+    if kind is Num:
+        return np.full(t.shape, node.value)
+    if kind is Neg:
+        return -_walk(node.operand, t, checked, outs)
+    if kind is Call:
+        name, args = node.name, [_walk(a, t, checked, outs) for a in node.args]
     else:
-        name = node.name if isinstance(node, Call) else node.op
-        args = [_eval_node(a, t)
-                for a in (node.args if isinstance(node, Call) else (node.left, node.right))]
-        if name == "ln":
-            _require(args[0] > 0.0, t, lambda i: f"ln of nonpositive value {float(args[0][i])!r}")
-        elif name == "/":
-            _require(args[1] != 0.0, t, lambda i: "division by zero")
-        with np.errstate(all="ignore"):
-            out = _FUNCS[name](*args)
-    _require(np.isfinite(out), t,
-             lambda i: f"{'overflow' if np.isinf(out[i]) else 'domain error'} in {name}")
+        name = node.op
+        args = [_walk(node.left, t, checked, outs), _walk(node.right, t, checked, outs)]
+    if checked and name == "ln":
+        _require(args[0] > 0.0, t, lambda i: f"ln of nonpositive value {float(args[0][i])!r}")
+    elif checked and name == "/":
+        _require(args[1] != 0.0, t, lambda i: "division by zero")
+    out = _FUNCS[name](*args)
+    if checked:
+        _require(np.isfinite(out), t,
+                 lambda i: f"{'overflow' if np.isinf(out[i]) else 'domain error'} in {name}")
+    outs.append(out)
+    return out
+
+
+def _eval_node(node, t: np.ndarray) -> np.ndarray:
+    """Values of the subtree at every time of the 1-d array ``t``.
+
+    One unchecked walk, then one finiteness test over every operator's output.
+    ln of a value <= 0 and division by zero give -inf, inf or NaN, so the test
+    fails exactly when a checked walk would raise; only then does the checked
+    walk run, and its :class:`EvaluationError` names the first offending
+    operator in evaluation order and its earliest offending t.
+    """
+    outs = []
+    with np.errstate(all="ignore"):
+        out = _walk(node, t, False, outs)
+        if outs and not np.isfinite(np.concatenate(outs)).all():
+            return _walk(node, t, True, [])
     return out
 
 
@@ -300,55 +328,70 @@ def running_integral(expr: RateExpr, grid: np.ndarray, tol: float) -> tuple:
     delta/15) and bisects the rest with tol halved.  As in the recursive rule,
     a path may take 48 levels and a step 100k bisections.  Level values are
     folded back in tree order, so each step sums as the recursion sums it.
-    A Simpson sum or running integral beyond the double range raises
+
+    The grid and the step midpoints are evaluated in one walk, and each level
+    in one more; each walk tests finiteness once (see :func:`_eval_node`).
+    An :class:`EvaluationError` names the first offending grid time if there
+    is one, and otherwise the first offending midpoint or quarter point.  A
+    Simpson sum or running integral beyond the double range raises
     :class:`QuadratureError`.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise InvalidInputError("tol must be positive and finite")
-    f = _eval_node(expr.root, grid)
-    a, b, fa, fb = grid[:-1], grid[1:], f[:-1], f[1:]
+    a, b = grid[:-1], grid[1:]
+    n = a.size
     m = 0.5 * (a + b)
-    fm = _eval_node(expr.root, m)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    owner, spent, levels = np.arange(a.size), np.zeros(a.size, dtype=np.int64), []
+    try:
+        f = _eval_node(expr.root, np.concatenate((grid, m)))
+    except EvaluationError:
+        _eval_node(expr.root, grid)  # a bad grid time is reported before any midpoint
+        raise
+    f, fm = f[:n + 1], f[n + 1:]
+    fa, fb = f[:-1], f[1:]
+    # one row per quantity, one column per open interval
+    state = np.array((a, b, m, fa, fb, fm, (b - a) / 6.0 * (fa + 4.0 * fm + fb)))
+    owner, spent, levels = np.arange(n), np.zeros(n, dtype=np.int64), []
     for depth in range(49):
-        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-        flm, frm = np.split(_eval_node(expr.root, np.concatenate((lm, rm))), 2)
-        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-        delta = left + right - whole
+        # (a, m) and (m, b), the ends of the two halves, and the rate there
+        ends_lo, ends_hi, f_lo, f_hi = state[0:3:2], state[2:0:-1], state[3:6:2], state[5:3:-1]
+        quarter = 0.5 * (ends_lo + ends_hi)
+        f_quarter = _eval_node(expr.root, quarter.ravel()).reshape(2, -1)
+        halves = (ends_hi - ends_lo) / 6.0 * (f_lo + 4.0 * f_quarter + f_hi)
+        pair = halves[0] + halves[1]
+        delta = pair - state[6]
         split = ~(np.abs(delta) <= 15.0 * tol)
-        levels.append((left + right + delta / 15.0, split))
-        if not split.any():
+        levels.append((pair + delta / 15.0, split))
+        cut = np.flatnonzero(split)
+        if not cut.size:
             break
-        spent += np.bincount(owner[split], minlength=spent.size)
-        broke = split & (spent[owner] >= 100_000)
-        overflow = ~np.isfinite(delta)
-        k = int(np.argmax(overflow if overflow.any() else broke if broke.any() else split))
-        where = "[{!r}, {!r}] of [{!r}, {!r}]".format(
-            *map(float, (a[k], b[k], grid[owner[k]], grid[owner[k] + 1])))
-        if overflow.any():
-            raise QuadratureError(f"adaptive Simpson sums overflow the double range on {where}")
-        if depth == 48:
-            raise QuadratureError(
-                f"adaptive Simpson failed to converge on {where} (residual {abs(delta[k]):.3e})"
-            )
+        cut_owner = owner[cut]
+        spent += np.bincount(cut_owner, minlength=n)
         # the open-interval cap ends a tolerance below rounding noise, which
         # doubles every level, before it exhausts memory
-        if broke.any() or 2 * split.sum() > 1 << 18:
+        if (not np.isfinite(delta).all() or depth == 48 or 2 * cut.size > 1 << 18
+                or spent.max() >= 100_000):
+            overflow, broke = ~np.isfinite(delta), split & (spent[owner] >= 100_000)
+            k = int(np.argmax(overflow if overflow.any() else broke if broke.any() else split))
+            where = "[{!r}, {!r}] of [{!r}, {!r}]".format(
+                *map(float, (state[0, k], state[1, k], grid[owner[k]], grid[owner[k] + 1])))
+            if overflow.any():
+                raise QuadratureError(
+                    f"adaptive Simpson sums overflow the double range on {where}")
+            if depth == 48:
+                raise QuadratureError(
+                    f"adaptive Simpson failed to converge on {where} (residual {abs(delta[k]):.3e})"
+                )
             raise QuadratureError(f"adaptive Simpson exceeded its subdivision budget near {where}")
-
-        def halves(lo, hi):  # both children of every split interval, interleaved
-            return np.stack((lo[split], hi[split]), axis=1).ravel()
-
-        a, b, m, fa, fb, fm, whole = (halves(a, m), halves(m, b), halves(lm, rm), halves(fa, fm),
-                                      halves(fm, fb), halves(flm, frm), halves(left, right))
-        owner, tol = np.repeat(owner[split], 2), 0.5 * tol
+        # both children of every split interval, interleaved: each row pair holds
+        # one row of ``state`` for the left child and for the right child
+        children = np.array((ends_lo, ends_hi, quarter, f_lo, f_hi, f_quarter, halves))
+        state = children.transpose(0, 2, 1).take(cut, axis=1).reshape(7, -1)
+        owner, tol = np.repeat(cut_owner, 2), 0.5 * tol
     total = levels[-1][0]
     for value, split in reversed(levels[:-1]):
         value[split] = total[0::2] + total[1::2]
         total = value
-    integral = np.cumsum(np.r_[0.0, total])
+    integral = np.cumsum(np.concatenate(([0.0], total)))
     if not np.isfinite(integral[-1]):
         i = int(np.argmin(np.isfinite(integral)))
         raise QuadratureError(

@@ -201,6 +201,13 @@ class TestDynamics:
         )
         assert code == 3
 
+    def test_literal_beyond_double_range_exits_3(self, tmp_path, capsys):
+        code, _, err = run(["dynamics", "--d", "2", "--gamma=1 + 1e999*t", "--gamma=1",
+                            "--gamma=1", "--out", str(tmp_path)], capsys)
+        assert code == 3
+        assert err == "error: number 1e999 is outside the double range (at position 4)\n"
+        assert not (tmp_path / "report.json").exists()
+
     def test_overflowing_eigenvalue_exits_3(self, tmp_path, capsys):
         code, _, err = run(shlex.split(
             "dynamics --preset semigroup --c=-40,-40,0 --t-max 10 --steps 50"

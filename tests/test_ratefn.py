@@ -13,6 +13,8 @@ from paulidyn.ratefn import (
     Num,
     RateSet,
     Var,
+    _eval_node,
+    _walk,
     evaluate,
     integrate,
     parse,
@@ -62,6 +64,13 @@ class TestParse:
     def test_bad_character(self):
         with pytest.raises(ParseError):
             parse("1 + $")
+
+    @pytest.mark.parametrize("source,position", [("1e999", 0), ("1 + 1e309*t", 4),
+                                                 ("tanh(2.5e400)", 5)])
+    def test_literal_beyond_double_range(self, source, position):
+        with pytest.raises(ParseError, match="outside the double range") as err:
+            parse(source)
+        assert err.value.position == position
 
 
 class TestPrecedence:
@@ -139,6 +148,56 @@ _ast_nodes = st.recursive(
     ),
     max_leaves=25,
 )
+
+
+# the whole grammar, with constants at the edges of the double range
+_edge_nodes = st.recursive(
+    st.one_of(st.builds(Num, st.sampled_from([0.0, 1e-300, 0.5, 2.0, 700.0, 1e308])),
+              st.just(Var())),
+    lambda children: st.one_of(
+        st.builds(Neg, children),
+        st.builds(BinOp, st.sampled_from("+-*/^"), children, children),
+        st.builds(
+            Call, st.sampled_from(["tanh", "exp", "ln", "cosh", "sinh"]), st.tuples(children)
+        ),
+        st.builds(Call, st.just("pow"), st.tuples(children, children)),
+    ),
+    max_leaves=12,
+)
+# a single time, or a grid through t = 0 that may start at negative t
+_times = st.one_of(
+    st.floats(min_value=-3.0, max_value=3.0).map(lambda t: np.array([t])),
+    st.tuples(st.integers(-3, 0), st.integers(1, 3), st.integers(1, 8)).map(
+        lambda p: np.linspace(p[0], p[1], (p[1] - p[0]) * p[2] + 1)),
+)
+
+
+class TestOneCheckPerWalk:
+    """One finiteness test after an unchecked walk decides as checking every node does."""
+
+    @given(_edge_nodes, _times)
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_checked_walk(self, node, t):
+        try:
+            with np.errstate(all="ignore"):
+                expected = _walk(node, t, True, [])
+        except EvaluationError as exc:
+            with pytest.raises(EvaluationError) as err:
+                _eval_node(node, t)
+            assert str(err.value) == str(exc)
+        else:
+            assert _eval_node(node, t).tobytes() == expected.tobytes()
+
+    def test_grid_error_precedes_midpoint_error(self):
+        # 1/(t - 0.05) fails first in evaluation order, but only at the midpoint 0.05;
+        # ln(0.72 - t) fails at the grid time 0.8, which is reported
+        with pytest.raises(EvaluationError, match=r"^ln of nonpositive value .* at t=0\.8$"):
+            running_integral(parse("1/(t - 0.05) + ln(0.72 - t)"), np.linspace(0.0, 1.0, 11),
+                             1e-8)
+
+    def test_midpoint_error_without_grid_error(self):
+        with pytest.raises(EvaluationError, match=r"^division by zero at t=0\.05$"):
+            running_integral(parse("1/(t - 0.05)"), np.linspace(0.0, 1.0, 11), 1e-8)
 
 
 class TestPrintRoundTrip:

@@ -10,9 +10,10 @@ whose BLP witness comes from a random state pair, the d=3 set on a 10^4-step gri
 avg-decoherence (d=7) grids, one d=3 rate with a 0.02-wide dip (a
 non-positive intermediate map between two nearby grid times), one d=3 set
 whose eigenvalue ratio overflows and two semigroups whose rate integrals
-leave the double range, and two semigroups with a rate just below zero
-(inside the inequality slack), each with seeds 42 and 7, and prints one line
-per case::
+leave the double range, two semigroups with a rate just below zero
+(inside the inequality slack), and three d=2 rate sets that fail to evaluate
+(ln of a nonpositive value at a grid time, division by zero, and the
+literal 1e999), each with seeds 42 and 7, and prints one line per case::
 
     <case> <sha256 of report.json> <sha256 of trajectory.csv>
 
@@ -20,7 +21,8 @@ It then runs ``paulidyn mub`` for d in {2, 3, 5, 7, 11, 13, 31} and prints::
 
     mub-d<d> <sha256 of mub_d<d>.json> <sha256 of mub_d<d>_overlaps.csv>
 
-A case that exits non-zero prints ``exit=<code>`` in place of the hashes.
+A case that exits non-zero prints ``exit=<code> <sha256 of its stderr>`` in
+place of the hashes, so its error message is pinned as well.
 Whether two checkouts write byte-identical artifacts is then one ``diff``::
 
     PYTHONPATH=src python3 tools/artifact_matrix.py > after.txt
@@ -126,6 +128,11 @@ def cases():
     # a negative rate inside the 1e-12 inequality slack: cp_divisible judges its exact sign
     yield "semigroup-slack-d2", ["--preset=semigroup", "--c=0,0,-9e-13"]
     yield "semigroup-slack-d3", ["--preset=semigroup", "--c=-9e-13,-9e-13,-9e-13,-9e-13"]
+    # rates that fail: an evaluation error names the first bad grid time, a parse error
+    # the position of the literal
+    yield "ln-nonpositive-d2", ["--d=2", "--gamma=ln(2 - t)", "--gamma=1", "--gamma=1"]
+    yield "division-by-zero-d2", ["--d=2", "--gamma=1", "--gamma=1/(t - 1)", "--gamma=1"]
+    yield "literal-1e999-d2", ["--d=2", "--gamma=1", "--gamma=1", "--gamma=1e999"]
 
 
 def sha256(path: Path) -> str:
@@ -147,11 +154,11 @@ def report_fields(path: Path) -> str:
 
 def run_case(argv: list, outputs=("report.json", "trajectory.csv"), read=sha256) -> str:
     with tempfile.TemporaryDirectory() as tmp:
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main([*argv, f"--out={tmp}"])
         if code != 0:
-            return f"exit={code}"
+            return f"exit={code} {hashlib.sha256(err.getvalue().encode()).hexdigest()}"
         return " ".join(read(Path(tmp) / name) for name in outputs)
 
 
