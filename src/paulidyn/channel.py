@@ -46,32 +46,35 @@ def _as_vector(x, length: int, name: str) -> np.ndarray:
     return arr
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite image raises in _as_vector
 def eigenvalues_from_probabilities(p) -> np.ndarray:
     """Map (p0, ..., p_{d+1}) to (lambda_1, ..., lambda_{d+1}).
 
     lambda_alpha = p0 + p_alpha - (sum of the other p_beta, beta >= 1) / (d-1).
     """
     arr = np.asarray(p, dtype=float)
-    d = arr.shape[0] - 2
+    d = arr.size - 2
     if d < 2:
-        raise InvalidInputError(f"probability vector needs length >= 4, got {arr.shape[0]}")
+        raise InvalidInputError(f"probability vector needs length >= 4, got shape {arr.shape}")
     arr = _as_vector(arr, d + 2, "probabilities")
     rest = arr[1:].sum() - arr[1:]
-    return arr[0] + arr[1:] - rest / (d - 1)
+    return _as_vector(arr[0] + arr[1:] - rest / (d - 1), d + 1,
+                      "the eigenvalue vector of these probabilities")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def probabilities_from_eigenvalues(lam) -> np.ndarray:
     """Inverse map: (lambda_1, ..., lambda_{d+1}) to (p0, ..., p_{d+1})."""
     arr = np.asarray(lam, dtype=float)
-    d = arr.shape[0] - 1
+    d = arr.size - 1
     if d < 2:
-        raise InvalidInputError(f"eigenvalue vector needs length >= 3, got {arr.shape[0]}")
+        raise InvalidInputError(f"eigenvalue vector needs length >= 3, got shape {arr.shape}")
     arr = _as_vector(arr, d + 1, "eigenvalues")
     total = arr.sum()
     p = np.empty(d + 2)
     p[0] = (1.0 + (d - 1) * total) / d**2
     p[1:] = (d - 1) / d**2 * (1.0 + d * arr - total)
-    return p
+    return _as_vector(p, d + 2, "the probability vector of these eigenvalues")
 
 
 @dataclass(frozen=True)
@@ -101,10 +104,12 @@ def cp_margins(lam) -> tuple:
     return total + 1.0 / (d - 1), 1.0 + d * lam.min(axis=0) - total
 
 
+@np.errstate(over="ignore", invalid="ignore")  # margins beyond the double range are not CP
 def cp_check_from_eigenvalues(lam, tol: float = CP_FLAG_TOL) -> CpCheck:
     lower, upper = (float(m) for m in cp_margins(lam))
-    margin = min(lower, upper)
-    return CpCheck(is_cp=margin >= -tol, margin=margin, lower_margin=lower, upper_margin=upper)
+    margin = float(np.minimum(lower, upper))  # NaN if either is
+    return CpCheck(is_cp=bool(-tol <= margin < np.inf), margin=margin, lower_margin=lower,
+                   upper_margin=upper)
 
 
 # ---------------------------------------------------------------------------

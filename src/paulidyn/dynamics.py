@@ -614,8 +614,8 @@ def find_p_divisibility_witness(traj: Trajectory, family: MubFamily,
     if ratio - 1.0 > TOL_WITNESS_NORM:
         u = family.unitaries[a]
         x = u + u.conj().T
-        v = intermediate_map(traj, i, j).as_channel(family)
-        grown = trace_norm(v(x)) / trace_norm(x) - 1.0
+        v_x = spectral_apply(family, intermediate_map(traj, i, j).nus, x)
+        grown = trace_norm(v_x) / trace_norm(x) - 1.0
         if abs(grown - (ratio - 1.0)) > 1e-6 * max(1.0, ratio):
             raise InternalConsistencyError(
                 f"axis witness mismatch: spectral ratio {ratio - 1.0:.6e} vs direct {grown:.6e}"
@@ -655,8 +655,9 @@ def find_p_divisibility_witness(traj: Trajectory, family: MubFamily,
                                for _, rows in _pair_chunks(log_lam, pair_i, pair_j, d + 1)])
         k = int(np.flatnonzero(vals <= vals.min() + _rounding_band(nus[c]))[0])
         gi, gj, best_psi = int(pair_i[k]), int(pair_j[k]), psi[c]
-        v = intermediate_map(traj, gi, gj).as_channel(family)
-        certified = float(np.linalg.eigvalsh(v(np.outer(best_psi, best_psi.conj())))[0])
+        v_rho = spectral_apply(family, intermediate_map(traj, gi, gj).nus,
+                               np.outer(best_psi, best_psi.conj()))
+        certified = float(np.linalg.eigvalsh(v_rho)[0])
         if certified < -TOL_WITNESS_EIG:
             witnesses.append(Witness(
                 kind="positivity", s=float(traj.grid[gi]), t=float(traj.grid[gj]),

@@ -10,14 +10,18 @@ Grammar (EBNF; also documented in the README):
     NAME    := "tanh" | "exp" | "ln" | "cosh" | "sinh" | "pow" ;
 
 Precedence, tightest first: unary minus, "^", "*" and "/", "+" and "-";
-so "-t^2" means "(-t)^2".  The only variable is t.  A NUMBER must be a
-finite double: a literal beyond the double range, such as 1e999, is a
-:class:`ParseError` at its position.  Domain violations (ln of a nonpositive
-value, division by zero, overflow) raise :class:`EvaluationError`;
-evaluation never returns NaN silently.  A tree is evaluated on a whole array
-of times in one unchecked walk followed by a single finiteness test of every
-operator's output; only when that test fails does a second, checked walk
-run, so the error names the first offending operator and its earliest t.
+so "-t^2" means "(-t)^2".  The operators live in one table, ``_OPERATORS``,
+and the functions in ``_FUNCTIONS``; the tokenizer, the precedence-climbing
+parser, the printer and the evaluator all read them.  The only variable is t.
+A NUMBER must be a finite double: a literal beyond the double range, such as
+1e999, is a :class:`ParseError` at its position, and so is nesting too deep
+for the interpreter's stack.  Domain violations (ln of a nonpositive value,
+division by zero, overflow) raise :class:`EvaluationError`, as does a
+hand-built tree too deep to walk; evaluation never returns NaN silently.  A
+tree is evaluated on a whole array of times in one unchecked walk followed by
+a single finiteness test of every operator's output; only when that test fails
+does a second, checked walk run, so the error names the first offending
+operator and its earliest t.
 
 Bundled presets cover the standard experiment families: the eternally
 negative qubit rate set, its d-level generalization, the averaged-dephasing
@@ -67,34 +71,30 @@ class Call:
     args: tuple
 
 
-_FUNCS = {
-    "tanh": np.tanh, "exp": np.exp, "cosh": np.cosh, "sinh": np.sinh, "ln": np.log,
-    "pow": np.power, "+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide,
-    "^": np.power,
-}
-_FUNC_ARITY = {"tanh": 1, "exp": 1, "ln": 1, "cosh": 1, "sinh": 1, "pow": 2}
+# The grammar, each fact written once.  A binary operator maps to its precedence
+# level (from 1, the loosest; all are left-associative) and ufunc, a function to
+# its ufunc, whose ``nin`` is the arity.  Unary minus binds tighter than them all.
+_OPERATORS = {"+": (1, np.add), "-": (1, np.subtract), "*": (2, np.multiply),
+              "/": (2, np.divide), "^": (3, np.power)}
+_FUNCTIONS = {"tanh": np.tanh, "exp": np.exp, "ln": np.log, "cosh": np.cosh, "sinh": np.sinh,
+              "pow": np.power}
+_LEVEL_UNARY = 1 + max(level for level, _ in _OPERATORS.values())
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
+    r"(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^(),]))"
+    r"|(?P<op>[" + re.escape("".join(_OPERATORS) + "(),") + "])"
+    r"|(?P<bad>\S)"
 )
 
 
 def _tokenize(source: str) -> list:
     tokens = []
-    pos = 0
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            stripped = source[pos:].lstrip()
-            if not stripped:
-                break
-            bad_at = len(source) - len(stripped)
-            raise ParseError(f"unexpected character {source[bad_at]!r}", bad_at)
-        kind = m.lastgroup  # the one alternative that matched: num, name or op
-        tokens.append((kind, m.group(kind), m.start(kind)))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(source):
+        kind = m.lastgroup  # the one alternative that matched: num, name, op or bad
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}", m.start())
+        tokens.append((kind, m.group(), m.start()))
     tokens.append(("end", "", len(source)))
     return tokens
 
@@ -126,24 +126,16 @@ class _Parser:
             raise ParseError(f"unexpected {text!r} after expression", pos)
         return node
 
-    def binary(self, ops: str, operand):
-        """A left-associative chain of ``operand`` joined by the ``ops`` symbols."""
-        node = operand()
+    def expr(self, level: int = 1):
+        """Operands joined, left-associatively, by operators of ``level`` or tighter."""
+        node = self.unary()
         while True:
             kind, text, _ = self.peek()
-            if kind != "op" or text not in ops:
+            op_level = _OPERATORS[text][0] if kind == "op" and text in _OPERATORS else 0
+            if op_level < level:
                 return node
             self.take()
-            node = BinOp(text, node, operand())
-
-    def expr(self):
-        return self.binary("+-", self.term)
-
-    def term(self):
-        return self.binary("*/", self.factor)
-
-    def factor(self):
-        return self.binary("^", self.unary)
+            node = BinOp(text, node, self.expr(op_level + 1))
 
     def unary(self):
         kind, text, _ = self.peek()
@@ -162,7 +154,7 @@ class _Parser:
         if kind == "name":
             if text == "t":
                 return Var()
-            if text in _FUNC_ARITY:
+            if text in _FUNCTIONS:
                 self.expect_op("(")
                 args = [self.expr()]
                 nk, nt, npos = self.peek()
@@ -170,10 +162,9 @@ class _Parser:
                     self.take()
                     args.append(self.expr())
                 self.expect_op(")")
-                if len(args) != _FUNC_ARITY[text]:
-                    raise ParseError(
-                        f"{text} takes {_FUNC_ARITY[text]} argument(s), got {len(args)}", pos
-                    )
+                arity = _FUNCTIONS[text].nin
+                if len(args) != arity:
+                    raise ParseError(f"{text} takes {arity} argument(s), got {len(args)}", pos)
                 return Call(text, tuple(args))
             raise ParseError(f"unknown identifier {text!r}", pos)
         if kind == "op" and text == "(":
@@ -187,40 +178,29 @@ class _Parser:
 # Printing (precedence-aware, reparses to the same tree)
 # ---------------------------------------------------------------------------
 
-_LEVEL_ADD, _LEVEL_MUL, _LEVEL_POW, _LEVEL_UNARY, _LEVEL_ATOM = 1, 2, 3, 4, 5
-_OP_LEVEL = {"+": _LEVEL_ADD, "-": _LEVEL_ADD, "*": _LEVEL_MUL, "/": _LEVEL_MUL, "^": _LEVEL_POW}
-
-
-def _node_level(node) -> int:
-    if isinstance(node, BinOp):
-        return _OP_LEVEL[node.op]
-    if isinstance(node, Neg):
-        return _LEVEL_UNARY
-    return _LEVEL_ATOM
-
 
 def _emit(node, min_level: int) -> str:
+    level = _LEVEL_UNARY + 1  # an atom
     if isinstance(node, Num):
         text = repr(node.value)
     elif isinstance(node, Var):
         text = "t"
     elif isinstance(node, Neg):
-        text = "-" + _emit(node.operand, _LEVEL_UNARY)
+        level = _LEVEL_UNARY
+        text = "-" + _emit(node.operand, level)
     elif isinstance(node, Call):
-        text = node.name + "(" + ", ".join(_emit(a, _LEVEL_ADD) for a in node.args) + ")"
+        text = node.name + "(" + ", ".join(_emit(a, 1) for a in node.args) + ")"
     elif isinstance(node, BinOp):
-        lvl = _OP_LEVEL[node.op]
+        level = _OPERATORS[node.op][0]
         # left-associative: the right operand must bind strictly tighter
-        text = _emit(node.left, lvl) + f" {node.op} " + _emit(node.right, lvl + 1)
+        text = _emit(node.left, level) + f" {node.op} " + _emit(node.right, level + 1)
     else:  # pragma: no cover
         raise TypeError(f"not an AST node: {node!r}")
-    if _node_level(node) < min_level:
-        return "(" + text + ")"
-    return text
+    return "(" + text + ")" if level < min_level else text
 
 
 def to_source(node) -> str:
-    return _emit(node, _LEVEL_ADD)
+    return _emit(node, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +217,12 @@ class RateExpr:
 def parse(source: str) -> RateExpr:
     if not isinstance(source, str) or not source.strip():
         raise ParseError("empty expression", 0)
-    return RateExpr(source=source, root=_Parser(source).parse())
+    parser = _Parser(source)
+    try:
+        return RateExpr(source=source, root=parser.parse())
+    except RecursionError:
+        position = parser.tokens[max(parser.i - 1, 0)][2]  # the last token taken
+        raise ParseError("expression nested too deeply", position) from None
 
 
 def _require(ok: np.ndarray, t: np.ndarray, message):
@@ -262,15 +247,16 @@ def _walk(node, t: np.ndarray, checked: bool, outs: list) -> np.ndarray:
     if kind is Neg:
         return -_walk(node.operand, t, checked, outs)
     if kind is Call:
-        name, args = node.name, [_walk(a, t, checked, outs) for a in node.args]
+        name, ufunc = node.name, _FUNCTIONS[node.name]
+        args = [_walk(a, t, checked, outs) for a in node.args]
     else:
-        name = node.op
+        name, ufunc = node.op, _OPERATORS[node.op][1]
         args = [_walk(node.left, t, checked, outs), _walk(node.right, t, checked, outs)]
     if checked and name == "ln":
         _require(args[0] > 0.0, t, lambda i: f"ln of nonpositive value {float(args[0][i])!r}")
     elif checked and name == "/":
         _require(args[1] != 0.0, t, lambda i: "division by zero")
-    out = _FUNCS[name](*args)
+    out = ufunc(*args)
     if checked:
         _require(np.isfinite(out), t,
                  lambda i: f"{'overflow' if np.isinf(out[i]) else 'domain error'} in {name}")
@@ -288,10 +274,13 @@ def _eval_node(node, t: np.ndarray) -> np.ndarray:
     operator in evaluation order and its earliest offending t.
     """
     outs = []
-    with np.errstate(all="ignore"):
-        out = _walk(node, t, False, outs)
-        if outs and not np.isfinite(np.concatenate(outs)).all():
-            return _walk(node, t, True, [])
+    try:
+        with np.errstate(all="ignore"):
+            out = _walk(node, t, False, outs)
+            if outs and not np.isfinite(np.concatenate(outs)).all():
+                return _walk(node, t, True, [])
+    except RecursionError:
+        raise EvaluationError("expression nested too deeply") from None
     return out
 
 

@@ -84,8 +84,31 @@ class TestConversions:
         with pytest.raises(InvalidInputError):
             channel_from_probabilities(family2, [1, 1, 0, 0])
 
+    @pytest.mark.parametrize("convert", [eigenvalues_from_probabilities,
+                                         probabilities_from_eigenvalues])
+    @pytest.mark.parametrize("bad", [5.0, [[1.0, 0.0, 0.0, 0.0]]], ids=["scalar", "matrix"])
+    def test_conversions_need_a_vector(self, convert, bad):
+        with pytest.raises(InvalidInputError):
+            convert(bad)
+
+    def test_overflowing_coordinates_are_rejected(self, family2):
+        with pytest.raises(InvalidInputError, match="of these .* has non-finite entries"):
+            probabilities_from_eigenvalues([1e308] * 3)
+        with pytest.raises(InvalidInputError, match="of these .* has non-finite entries"):
+            eigenvalues_from_probabilities([1e308, -1e308, 1.0, 0.0])
+        with pytest.raises(InvalidInputError, match="of these .* has non-finite entries"):
+            channel_from_eigenvalues(family2, [1e308] * 3)
+        with pytest.raises(InvalidInputError, match="of these .* has non-finite entries"):
+            channel_from_probabilities(family2, [1e308, -1e308, 1.0, 0.0])
+
 
 class TestFujiwara:
+    @pytest.mark.parametrize("lam", [[1e308] * 3, [1e308, 1e308, -1e308]])
+    def test_non_finite_margin_is_never_cp(self, lam):
+        check = cp_check_from_eigenvalues(lam)
+        assert not check.is_cp
+        assert not math.isfinite(check.margin)
+
     def test_violating_qubit_channel(self, family2):
         check = is_cp_fujiwara(channel_from_eigenvalues(family2, [1, 1, -1]))
         assert not check.is_cp

@@ -130,6 +130,17 @@ class TestChannel:
         code, _, err = run(["channel", "--d", "3", "--lambdas", "1,1"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("source, image", [
+        ("--lambdas=1e308,1e308,1e308", "the probability vector of these eigenvalues"),
+        ("--probs=1e308,-1e308,1,0", "the eigenvalue vector of these probabilities"),
+    ], ids=["lambdas", "probs"])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_overflowing_coordinates_exit_2(self, source, image, fmt, capsys):
+        code, out, err = run(["channel", "--d", "2", source, "--format", fmt], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {image} has non-finite entries\n"
+
 
 class TestDynamics:
     def test_eternal_qubit_report(self, tmp_path, capsys):
@@ -206,6 +217,13 @@ class TestDynamics:
                             "--gamma=1", "--out", str(tmp_path)], capsys)
         assert code == 3
         assert err == "error: number 1e999 is outside the double range (at position 4)\n"
+        assert not (tmp_path / "report.json").exists()
+
+    def test_deep_nesting_exits_3(self, tmp_path, capsys):
+        code, _, err = run(["dynamics", "--d", "2", "--gamma=" + "(" * 1000 + "1" + ")" * 1000,
+                            "--gamma=1", "--gamma=1", "--out", str(tmp_path)], capsys)
+        assert code == 3
+        assert err.startswith("error: expression nested too deeply (at position ")
         assert not (tmp_path / "report.json").exists()
 
     def test_overflowing_eigenvalue_exits_3(self, tmp_path, capsys):

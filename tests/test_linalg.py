@@ -6,7 +6,10 @@ import pytest
 
 from paulidyn.channel import (apply, channel_from_probabilities, weyl_channel_apply,
                               weyl_channel_from_pauli)
-from paulidyn.dynamics import build_trajectory, check_blp, evolve_operator, generator_apply
+from paulidyn.dynamics import (build_trajectory, check_blp, check_frobenius_monotone,
+                               check_weyl_sufficient, evolve_operator,
+                               find_p_divisibility_witness, generator_apply,
+                               weyl_rates_from_trajectory)
 from paulidyn.errors import DimensionError, InvalidInputError, NonHermitianError
 from paulidyn.linalg import (
     KrausMap,
@@ -225,12 +228,30 @@ def test_operator_entry_points_check_their_input(d3_operator_entry_points, entry
     assert type(exc.value) is error
 
 
-@pytest.mark.parametrize("pairs", [[(np.eye(2) / 2, np.diag([1.0, 0.0]))], 4],
-                         ids=["explicit", "count"])
-def test_check_blp_rejects_a_family_of_another_dimension(family2, pairs):
-    traj = build_trajectory(preset_rates("eternal-general", d=3), t_max=1.0, steps=10)
-    with pytest.raises(DimensionError):
-        check_blp(traj, family2, pairs)
+_QUBIT_PAIR = [(np.eye(2) / 2, np.diag([1.0, 0.0]))]
+
+
+@pytest.mark.parametrize("entry, error", [
+    (lambda rates, traj, family: check_blp(traj, family, _QUBIT_PAIR), DimensionError),
+    (lambda rates, traj, family: check_blp(traj, family, 4), DimensionError),
+    (lambda rates, traj, family: generator_apply(rates, family, 0.5, np.eye(2) / 2),
+     DimensionError),
+    (lambda rates, traj, family: evolve_operator(traj, family, np.eye(2) / 2), DimensionError),
+    (lambda rates, traj, family: check_frobenius_monotone(traj, family), DimensionError),
+    (lambda rates, traj, family: find_p_divisibility_witness(traj, family), DimensionError),
+    # the d=3 trajectory's Weyl rates against a grid one point short
+    (lambda rates, traj, family: check_weyl_sufficient(weyl_rates_from_trajectory(traj),
+                                                      traj.grid[:-1], traj.dim),
+     InvalidInputError),
+], ids=["check_blp-explicit", "check_blp-count", "generator_apply", "evolve_operator",
+        "check_frobenius_monotone", "find_p_divisibility_witness", "check_weyl_sufficient-grid"])
+def test_entry_points_reject_another_dimension(family2, entry, error):
+    """A d=2 family (or an operator of its size) against d=3 rates and their trajectory."""
+    rates = preset_rates("eternal-general", d=3)
+    traj = build_trajectory(rates, t_max=1.0, steps=10)
+    with pytest.raises(error) as exc:
+        entry(rates, traj, family2)
+    assert type(exc.value) is error
 
 
 @pytest.mark.parametrize("shape", [(9,), (3, 3), (4, 3, 3)], ids=["vector", "matrix", "stack"])

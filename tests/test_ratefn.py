@@ -11,6 +11,7 @@ from paulidyn.ratefn import (
     Call,
     Neg,
     Num,
+    RateExpr,
     RateSet,
     Var,
     _eval_node,
@@ -71,6 +72,40 @@ class TestParse:
         with pytest.raises(ParseError, match="outside the double range") as err:
             parse(source)
         assert err.value.position == position
+
+
+class TestParseErrors:
+    @pytest.mark.parametrize(
+        "source,message,position",
+        [
+            ("1 + $", "unexpected character '$'", 4),
+            ("(1 + t", "expected ')'", 6),
+            ("1 +", "unexpected end of input", 3),
+            ("1 2", "unexpected '2' after expression", 2),
+            ("x + 1", "unknown identifier 'x'", 0),
+            ("pow(2)", "pow takes 2 argument(s), got 1", 0),
+            ("tanh(1, 2)", "tanh takes 1 argument(s), got 2", 0),
+            ("pow(1, 2, 3)", "expected ')'", 8),
+            ("tanh t", "expected '('", 5),
+            (")", "unexpected ')'", 0),
+        ],
+    )
+    def test_message_and_position(self, source, message, position):
+        with pytest.raises(ParseError) as err:
+            parse(source)
+        assert str(err.value) == f"{message} (at position {position})"
+        assert err.value.position == position
+
+    def test_deep_nesting_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse("(" * 1000 + "t" + ")" * 1000)
+
+    def test_deep_tree_is_an_evaluation_error(self):
+        node = Var()
+        for _ in range(2000):
+            node = Neg(node)
+        with pytest.raises(EvaluationError, match="nested too deeply"):
+            evaluate(RateExpr("-" * 2000 + "t", node), 1.0)
 
 
 class TestPrecedence:

@@ -11,9 +11,11 @@ avg-decoherence (d=7) grids, one d=3 rate with a 0.02-wide dip (a
 non-positive intermediate map between two nearby grid times), one d=3 set
 whose eigenvalue ratio overflows and two semigroups whose rate integrals
 leave the double range, two semigroups with a rate just below zero
-(inside the inequality slack), and three d=2 rate sets that fail to evaluate
+(inside the inequality slack), three d=2 rate sets that fail to evaluate
 (ln of a nonpositive value at a grid time, division by zero, and the
-literal 1e999), each with seeds 42 and 7, and prints one line per case::
+literal 1e999) and four that fail to parse (an unexpected character, an
+unclosed parenthesis, a wrong argument count and 1000 nested parentheses),
+each with seeds 42 and 7, and prints one line per case::
 
     <case> <sha256 of report.json> <sha256 of trajectory.csv>
 
@@ -133,6 +135,11 @@ def cases():
     yield "ln-nonpositive-d2", ["--d=2", "--gamma=ln(2 - t)", "--gamma=1", "--gamma=1"]
     yield "division-by-zero-d2", ["--d=2", "--gamma=1", "--gamma=1/(t - 1)", "--gamma=1"]
     yield "literal-1e999-d2", ["--d=2", "--gamma=1", "--gamma=1", "--gamma=1e999"]
+    # parse errors: each message and position is pinned by its stderr (where the nesting
+    # case stops depends on the interpreter's stack limit and the caller's depth)
+    for label, source in (("bad-character", "1 + $"), ("unclosed-paren", "(1 + t"),
+                          ("arity", "pow(2)"), ("nested-1000", "(" * 1000 + "t" + ")" * 1000)):
+        yield f"parse-{label}-d2", ["--d=2", f"--gamma={source}", "--gamma=1", "--gamma=1"]
 
 
 def sha256(path: Path) -> str:
