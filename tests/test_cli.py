@@ -1,4 +1,5 @@
 import json
+import math
 import shlex
 from pathlib import Path
 
@@ -241,6 +242,18 @@ class TestDynamics:
         assert code == 3
         assert err == ("error: eigenvalue ratio lambda_1(t)/lambda_1(s) overflows "
                        "for s=2.5, t=5.0\n")
+
+    @pytest.mark.parametrize("amplitude", ["104.08", "104.1", "104.27"])
+    def test_axis_ratio_near_the_double_range(self, amplitude, tmp_path, capsys):
+        # the largest eigenvalue ratio (4.8e307 to 1.7e308) is finite, while the trace norm
+        # of the applied axis operator overflows; it once failed as an internal error
+        rate = f"--gamma={amplitude}*tanh(3*(2.5-t))"
+        code, _, err = run(["dynamics", "--d=3", rate, rate, rate, "--gamma=1", "--steps=100",
+                            "--out", str(tmp_path)], capsys)
+        assert (code, err) == (0, "")
+        witness = json.loads((tmp_path / "report.json").read_text())["trace_norm_witness"]
+        assert witness["kind"] == "trace-norm"
+        assert 4e307 < witness["magnitude"] < math.inf
 
     @pytest.mark.parametrize("constants,message", [
         ("1e308,1,1", "error: rate gamma_1 failed: adaptive Simpson sums overflow the double "

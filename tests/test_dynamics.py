@@ -1,5 +1,7 @@
 import json
 import math
+import threading
+import time
 import tracemalloc
 
 import mpmath
@@ -13,10 +15,12 @@ import paulidyn.dynamics as dynamics
 from paulidyn.channel import choi_matrix, cp_margins
 from paulidyn.dynamics import (
     BLP_ROUNDING_FLOOR,
+    CLOSED_FORM_MAX_DIM,
     NOT_APPLICABLE,
     SCREEN_GRID,
     VIOLATED,
     _CSV_BLOCK_ROWS,
+    DivisibilityReport,
     Trajectory,
     _overlap_form,
     _pure_response,
@@ -769,6 +773,91 @@ class TestAnalyzeAndExports:
         traj = build_trajectory(rates, t_max=1.0, steps=20)
         with pytest.raises(InvalidInputError, match="pair count"):
             check_blp(traj, family2, pairs=-2)
+
+
+class _StageFailed(Exception):
+    pass
+
+
+def _tanh_rates(d: int, seed: int):
+    """The rate set of ``_tanh_trajectory(d, seed)``."""
+    rng = np.random.default_rng(seed)
+    return rate_set(d, [f"{rng.uniform(-0.6, 1.2)!r} + {rng.uniform(-1.0, 1.0)!r}*"
+                        f"tanh({rng.uniform(0.3, 2.0)!r}*(t - {rng.uniform(0.0, 4.0)!r}))"
+                        for _ in range(d + 1)])
+
+
+class TestConcurrentAnalyze:
+    """Above CLOSED_FORM_MAX_DIM, analyze runs check_blp on a second thread."""
+
+    @pytest.mark.parametrize("d", [5, 7, 11])
+    def test_report_equals_the_checks_in_sequence(self, d):
+        # seed 5 gives a BLP witness at each d, and trace-norm or positivity witnesses
+        rates, family, seed = _tanh_rates(d, 5), mub_family(d), 7
+        traj = build_trajectory(rates, t_max=5.0, steps=100)
+        expected = DivisibilityReport(
+            dim=d, t_max=5.0, steps=100, seed=seed,
+            cp_map_valid=check_cptp_trajectory(traj),
+            cp_divisible=check_cp_divisible(traj),
+            p_necessary=check_p_necessary(traj),
+            p_sufficient=check_p_sufficient(traj),
+            weyl_sufficient=check_weyl_sufficient(weyl_rates_from_trajectory(traj), traj.grid, d),
+            frobenius_monotone=check_frobenius_monotone(traj, family, seed=seed),
+            trace_norm_witness=find_p_divisibility_witness(traj, family, seed=seed),
+            blp_witness=check_blp(traj, family, seed=seed),
+        )
+        assert expected.blp_witness is not None and expected.trace_norm_witness is not None
+        threads = threading.active_count()
+        _, report = analyze(rates, family, t_max=5.0, steps=100, seed=seed)
+        assert threading.active_count() == threads
+        assert report.to_json_dict() == expected.to_json_dict()
+
+    def test_probe_error_is_raised(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise _StageFailed("BLP probe failed")
+
+        monkeypatch.setattr(dynamics, "check_blp", fail)
+        threads = threading.active_count()
+        with pytest.raises(_StageFailed, match="BLP probe failed"):
+            analyze(preset_rates("avg-decoherence", d=5), steps=100)
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("probe_first", [True, False])
+    def test_witness_search_error_wins(self, probe_first, monkeypatch):
+        probe_done = threading.Event()
+
+        def probe_fails(*args, **kwargs):
+            try:
+                if not probe_first:  # still running when the search fails: analyze joins it
+                    time.sleep(0.2)
+                raise _StageFailed("BLP probe failed")
+            finally:
+                probe_done.set()
+
+        def search_fails(*args, **kwargs):
+            if probe_first:
+                assert probe_done.wait(timeout=10)
+            raise _StageFailed("witness search failed")
+
+        monkeypatch.setattr(dynamics, "check_blp", probe_fails)
+        monkeypatch.setattr(dynamics, "find_p_divisibility_witness", search_fails)
+        threads = threading.active_count()
+        with pytest.raises(_StageFailed, match="witness search failed"):
+            analyze(preset_rates("avg-decoherence", d=5), steps=100)
+        assert threading.active_count() == threads
+        assert probe_done.is_set()
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 7])
+    def test_probe_thread_and_numpy_error_state(self, d, monkeypatch):
+        caller, seen = threading.current_thread(), []
+
+        def record(*args, **kwargs):
+            seen.append((np.geterr()["over"], threading.current_thread() is caller))
+
+        monkeypatch.setattr(dynamics, "check_blp", record)
+        with np.errstate(over="raise"):
+            analyze(preset_rates("avg-decoherence", d=d), steps=100)
+        assert seen == [("raise", d <= CLOSED_FORM_MAX_DIM)]
 
 
 @given(

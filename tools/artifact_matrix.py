@@ -9,7 +9,8 @@ whose BLP witness comes from a random state pair, the d=3 set on a 10^4-step gri
 (every CSV column distinct), 10^4-step eternal-general (d=3) and
 avg-decoherence (d=7) grids, one d=3 rate with a 0.02-wide dip (a
 non-positive intermediate map between two nearby grid times), one d=3 set
-whose eigenvalue ratio overflows and two semigroups whose rate integrals
+whose eigenvalue ratio overflows and one whose largest ratio is finite but
+within a factor of 4 of the double range, two semigroups whose rate integrals
 leave the double range, two semigroups with a rate just below zero
 (inside the inequality slack), three d=2 rate sets that fail to evaluate
 (ln of a nonpositive value at a grid time, division by zero, and the
@@ -123,6 +124,9 @@ def cases():
            ["--d=3"] + ["--gamma=1"] * 3 + ["--gamma=1 - 3*exp(0-((t-2.06)/0.02)^2)"])
     # lambda_1 underflows to 0 and recovers: lambda_1(5)/lambda_1(2.5) exceeds the double range
     yield "overflow-ratio-d3", ["--d=3"] + ["--gamma=200*tanh(3*(2.5-t))"] * 3 + ["--gamma=1"]
+    # the largest eigenvalue ratio, 5.47e307, is finite; the axis operator's trace norm is not
+    yield ("axis-ratio-near-max-d3",
+           ["--d=3"] + ["--gamma=104.1*tanh(3*(2.5-t))"] * 3 + ["--gamma=1"])
     # a Simpson sum of the first rate overflows
     yield "overflow-simpson-d2", ["--preset=semigroup", "--c=1e308,1,1"]
     # every rate integral is finite, their sum G overflows near t = 3
