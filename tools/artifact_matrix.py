@@ -12,11 +12,13 @@ non-positive intermediate map between two nearby grid times), one d=3 set
 whose eigenvalue ratio overflows and one whose largest ratio is finite but
 within a factor of 4 of the double range, two semigroups whose rate integrals
 leave the double range, two semigroups with a rate just below zero
-(inside the inequality slack), three d=2 rate sets that fail to evaluate
-(ln of a nonpositive value at a grid time, division by zero, and the
-literal 1e999) and four that fail to parse (an unexpected character, an
-unclosed parenthesis, a wrong argument count and 1000 nested parentheses),
-each with seeds 42 and 7, and prints one line per case::
+(inside the inequality slack), one semigroup whose trajectory.csv holds
+exact 17-digit ties and values on both sides of the switch to exponent
+notation, three d=2 rate sets that fail to evaluate (ln of a nonpositive
+value at a grid time, division by zero, and the literal 1e999) and four
+that fail to parse (an unexpected character, an unclosed parenthesis, a
+wrong argument count and 1000 nested parentheses), each with seeds 42
+and 7, and prints one line per case::
 
     <case> <sha256 of report.json> <sha256 of trajectory.csv>
 
@@ -134,6 +136,9 @@ def cases():
     # a negative rate inside the 1e-12 inequality slack: cp_divisible judges its exact sign
     yield "semigroup-slack-d2", ["--preset=semigroup", "--c=0,0,-9e-13"]
     yield "semigroup-slack-d3", ["--preset=semigroup", "--c=-9e-13,-9e-13,-9e-13,-9e-13"]
+    # trajectory.csv holds exact 17-digit ties (gamma_1 = 2^-25 and Gamma_1 at dyadic t) and
+    # Gamma_2 = 3e-5 t crosses from exponent into fixed notation at 1e-4
+    yield "semigroup-csv-ties-d2", ["--preset=semigroup", "--c=2.9802322387695312e-08,3e-05,0.5"]
     # rates that fail: an evaluation error names the first bad grid time, a parse error
     # the position of the literal
     yield "ln-nonpositive-d2", ["--d=2", "--gamma=ln(2 - t)", "--gamma=1", "--gamma=1"]
