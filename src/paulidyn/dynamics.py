@@ -10,17 +10,22 @@ all divisibility analysis happens on those exact spectral trajectories.
 Checks implemented on a common time grid:
 
 - map legitimacy (eigenvalue CP inequalities at every time),
-- CP divisibility (all rates nonnegative),
-- the necessary positive-divisibility inequalities (sums of d rates),
-- the sufficient pair inequalities (valid when at most one rate is negative),
-- the general Weyl-rate sufficient condition (sums over d-subsets),
-- Frobenius-norm monotonicity,
+- the rate criteria, one function of the rate vector (``_rate_verdict``):
+  CP divisibility (all rates nonnegative), the necessary positive-divisibility
+  inequalities (sums of d rates), the sufficient pair inequalities and the
+  Weyl-rate sufficient condition on the class rates (valid when at most one
+  rate is negative), and the analytic sign of Frobenius-norm monotonicity
+  (the necessary table again),
+- the Weyl-rate sufficient condition on general Weyl rates (sums over
+  d-subsets),
+- a sampled Frobenius-norm cross-check,
 - a seeded falsifier searching for intermediate maps that break positivity or
   increase a trace norm, and a sampled trace-distance (information back-flow)
   probe.
 
 Verdicts carry signed margins; witness objects carry the concrete state or
-operator achieving the violation.
+operator achieving the violation.  ``_IMPLIED`` lists the implications between
+the verdicts that every report is checked against.
 """
 
 from __future__ import annotations
@@ -265,70 +270,85 @@ class Verdict:
         }
 
 
-def _collect_row_violations(grid, margins, labels, tol):
-    """First and worst offending grid point for each violated row."""
-    entries = []
-    for r in range(margins.shape[0]):
-        bad = np.flatnonzero(margins[r] < -tol)
-        if bad.size == 0:
-            continue
-        first = int(bad[0])
-        worst = int(bad[np.argmin(margins[r, bad])])
-        entries.append(Violation(float(grid[first]), labels[r], float(margins[r, first])))
-        if worst != first:
-            entries.append(Violation(float(grid[worst]), labels[r], float(margins[r, worst])))
-    entries.sort(key=lambda v: (v.time, v.label))
-    return entries
+def _verdict(criterion, grid, margins, label, tol=TOL_CONDITION, applicable=None,
+             na_reason="") -> Verdict:
+    """Verdict on the margin rows ``margins`` (R, K) over the grid; ``label(r, i)`` names
+    a violation of row r at column i.
 
-
-def _verdict_from_margins(criterion, grid, margins, labels, tol=TOL_CONDITION, note=""):
+    Without an ``applicable`` mask every row reports its first and its worst
+    offending time, sorted.  A masked criterion is one row, judged only at its
+    applicable columns: it reports its first offending times, and its note says
+    how many columns it does not apply at and why.  Either way at most
+    ``_MAX_VIOLATION_RECORDS`` violations are kept.
+    """
     margins = np.asarray(margins, dtype=float)
     series = margins.min(axis=0)
-    entries = _collect_row_violations(grid, margins, labels, tol)
-    if entries:
-        status = VIOLATED
-        first_time = min(v.time for v in entries)
+    if applicable is None:
+        entries = []
+        for r, row in enumerate(margins):
+            bad = np.flatnonzero(row < -tol)
+            if bad.size:
+                for i in dict.fromkeys((int(bad[0]), int(bad[np.argmin(row[bad])]))):
+                    entries.append(Violation(float(grid[i]), label(r, i), float(row[i])))
+        entries.sort(key=lambda v: (v.time, v.label))
     else:
-        status = HOLDS
-        first_time = None
-    return Verdict(
-        criterion=criterion, status=status, margin=float(series.min()),
-        first_violation_time=first_time,
-        violations=tuple(entries[:_MAX_VIOLATION_RECORDS]), note=note,
-        margin_series=series,
-    )
-
-
-def _conditional_verdict(criterion, grid, values, applicable, label, na_reason) -> Verdict:
-    """Verdict on a sufficient condition that only applies at some grid times.
-
-    ``values`` is the condition margin per grid time and ``label(i)`` names a
-    violation at index i.  Times where the condition does not apply never
-    count as violations; if there are any, the note says how many and why.
-    """
-    series = np.where(applicable, values, np.nan)
-    bad = np.flatnonzero(applicable & (values < -TOL_CONDITION))
-    entries = tuple(
-        Violation(float(grid[i]), label(i), float(values[i]))
-        for i in bad[:_MAX_VIOLATION_RECORDS]
-    )
-    n_na = int((~applicable).sum())
+        series = np.where(applicable, series, np.nan)
+        entries = [Violation(float(grid[i]), label(0, i), float(series[i]))
+                   for i in np.flatnonzero(series < -tol)[:_MAX_VIOLATION_RECORDS]]
+    n_na = 0 if applicable is None else int((~applicable).sum())
     note = f"not applicable at {n_na} of {len(grid)} grid times ({na_reason})" if n_na else ""
-    if entries:
-        status, first_time = VIOLATED, entries[0].time
-        margin = float(np.nanmin(series))
-    elif n_na:
-        status, first_time = NOT_APPLICABLE, None
-        margin = float(np.nanmin(series)) if applicable.any() else math.nan
-    else:
-        status, first_time = HOLDS, None
-        margin = float(values.min())
-    return Verdict(criterion, status, margin, first_time, entries, note, series)
+    status = VIOLATED if entries else NOT_APPLICABLE if n_na else HOLDS
+    margin = (float(series.min()) if not n_na  # nanmin may pick the other zero of a tie
+              else float(np.nanmin(series)) if applicable.any() else math.nan)
+    return Verdict(criterion, status, margin, entries[0].time if entries else None,
+                   tuple(entries[:_MAX_VIOLATION_RECORDS]), note, series)
 
 
 # ---------------------------------------------------------------------------
 # Grid condition checks
 # ---------------------------------------------------------------------------
+
+
+def _rate_verdict(criterion: str, grid: np.ndarray, gammas: np.ndarray) -> Verdict:
+    """The verdict of one rate criterion on a (d+1, K) rate array ``gammas``.
+
+    Every criterion is a function of the rate vector at each column alone and
+    is nondecreasing in every gamma_alpha; only the named one is computed:
+
+    - ``cp_divisible``: every gamma_alpha, judged on the exact sign (a rate of
+      -eps lowers the CP margin by about d * eps * t and the pair and necessary
+      sums by up to d * eps, beyond what their slack absorbs);
+    - ``p_necessary`` and ``frobenius_monotone`` (d/dt lambda_alpha^2 <= 0 iff
+      mu_alpha <= 0): one row per axis, -mu_alpha = sum(gamma) - gamma_alpha;
+    - ``p_sufficient``: gamma_a + (d-1) gamma_b over ordered pairs a != b, whose
+      minimum pairs the smallest rate b with the second smallest a;
+    - ``weyl_sufficient``: the sum of the d smallest of the d^2-1 Weyl rates, d-1
+      copies of the smallest class rate and one of the next (without the copy).
+
+    The two sufficient conditions assume at most one negative rate; columns with
+    more are not applicable.  In floating point raising one gamma_alpha never
+    makes a column inapplicable, and lowers a margin by at most 4 ulps of
+    max(sum|gamma|, sum|gamma'|): only the -mu rows can drop, as they read
+    fl(sum gamma) - gamma_alpha.
+    """
+    g, d = gammas, len(gammas) - 1
+    if criterion == "cp_divisible":
+        return _verdict(criterion, grid, g, lambda r, i: f"gamma_{r + 1}", tol=0.0)
+    if criterion in ("p_necessary", "frobenius_monotone"):
+        name = ("sum of rates except gamma_{a}" if criterion == "p_necessary"
+                else "-d/dt lambda_{a}^2 (sign of -mu_{a})")
+        return _verdict(criterion, grid, -(g - g.sum(axis=0)),
+                        lambda r, i: name.format(a=r + 1))
+    applicable = (g < -TOL_CONDITION).sum(axis=0) <= 1
+    if criterion == "weyl_sufficient":
+        return _weyl_verdict(grid, d, np.sort(g, axis=0)[[0] * (d - 1) + [1]], applicable)
+    if criterion != "p_sufficient":
+        raise ValueError(f"unknown rate criterion {criterion!r}")
+    b_idx, a_idx = np.argsort(g, axis=0)[:2]
+    cols = np.arange(g.shape[1])
+    return _verdict(criterion, grid, [g[a_idx, cols] + (d - 1) * g[b_idx, cols]],
+                    lambda r, i: f"gamma_{a_idx[i] + 1} + {d - 1}*gamma_{b_idx[i] + 1}",
+                    applicable=applicable, na_reason="more than one negative rate")
 
 
 def check_cptp_trajectory(traj: Trajectory) -> Verdict:
@@ -337,52 +357,25 @@ def check_cptp_trajectory(traj: Trajectory) -> Verdict:
     Checks the two eigenvalue bounds on lambda(t); since every lambda is a
     positive exponential this is the exp(G) form of the same inequality.
     """
-    return _verdict_from_margins(
-        "cp_map_valid", traj.grid, np.vstack(cp_margins(traj.lambdas)),
-        ["eigenvalue-sum lower bound", "eigenvalue-sum upper bound"],
-    )
+    labels = ("eigenvalue-sum lower bound", "eigenvalue-sum upper bound")
+    return _verdict("cp_map_valid", traj.grid, np.vstack(cp_margins(traj.lambdas)),
+                    lambda r, i: labels[r])
 
 
 def check_cp_divisible(traj: Trajectory) -> Verdict:
-    """CP-divisible iff every rate is nonnegative at every time, judged on the
-    exact sign: a rate of -eps lowers the CP margin by about d * eps * t and the
-    pair and necessary sums by up to d * eps, beyond what their slack absorbs."""
-    labels = [f"gamma_{a + 1}" for a in range(traj.dim + 1)]
-    return _verdict_from_margins("cp_divisible", traj.grid, traj.gammas, labels, tol=0.0)
-
-
-def _axis_mu_verdict(criterion: str, traj: Trajectory, label) -> Verdict:
-    """Verdict on the per-axis margins -mu_alpha = sum(gamma) - gamma_alpha.
-
-    ``label(a)`` names row a; the necessary P condition and the analytic
-    Frobenius monotonicity are both this table.
-    """
-    labels = [label(a + 1) for a in range(traj.dim + 1)]
-    return _verdict_from_margins(criterion, traj.grid, -traj.mus, labels)
+    """CP-divisible iff every rate is nonnegative at every time (exact sign)."""
+    return _rate_verdict("cp_divisible", traj.grid, traj.gammas)
 
 
 def check_p_necessary(traj: Trajectory) -> Verdict:
     """Necessary for P-divisibility: sum of the other d rates >= 0, per axis."""
-    return _axis_mu_verdict("p_necessary", traj, lambda a: f"sum of rates except gamma_{a}")
+    return _rate_verdict("p_necessary", traj.grid, traj.gammas)
 
 
 def check_p_sufficient(traj: Trajectory) -> Verdict:
-    """Sufficient for P-divisibility: gamma_a + (d-1) gamma_b >= 0 for a != b.
-
-    The per-time minimum over ordered pairs always pairs the smallest rate b
-    (weighted d-1) with the second smallest a.  The derivation assumes at most
-    one rate is strictly negative at a time; grid times with two or more
-    negative rates are reported not-applicable rather than violated.
-    """
-    d, g = traj.dim, traj.gammas
-    b_idx, a_idx = np.argsort(g, axis=0)[:2]
-    cols = np.arange(g.shape[1])
-    values = g[a_idx, cols] + (d - 1) * g[b_idx, cols]
-    return _conditional_verdict(
-        "p_sufficient", traj.grid, values, (g < -TOL_CONDITION).sum(axis=0) <= 1,
-        lambda i: f"gamma_{a_idx[i] + 1} + {d - 1}*gamma_{b_idx[i] + 1}",
-        "more than one negative rate",
-    )
+    """Sufficient for P-divisibility: gamma_a + (d-1) gamma_b >= 0 for a != b; grid
+    times with two or more negative rates are not-applicable rather than violated."""
+    return _rate_verdict("p_sufficient", traj.grid, traj.gammas)
 
 
 def weyl_rates_from_trajectory(traj: Trajectory) -> np.ndarray:
@@ -399,31 +392,27 @@ def check_weyl_sufficient(weyl_gammas: np.ndarray, grid: np.ndarray, d: int) -> 
     Applies when at most d-1 of the d^2-1 rates are negative at a time.  The
     minimal d-subset sum is the sum of the d smallest rates, so only that sum
     is checked.  For class-constant rates this reduces to the pair condition
-    of :func:`check_p_sufficient`.
+    of :func:`check_p_sufficient`.  The rates must be a finite (d^2-1, len(grid))
+    array, or :class:`InvalidInputError` is raised.
     """
     wg = np.asarray(weyl_gammas, dtype=float)
+    if wg.ndim != 2:
+        raise InvalidInputError(f"Weyl rates must be a 2-D array, got shape {wg.shape}")
     if wg.shape[0] != d * d - 1:
         raise InvalidInputError(f"need {d * d - 1} Weyl rates for d={d}, got {wg.shape[0]}")
     if wg.shape[1] != np.asarray(grid).shape[0]:
         raise InvalidInputError("Weyl rate columns must match the grid length")
+    if not np.isfinite(wg).all():
+        raise InvalidInputError("Weyl rates must be finite")
     return _weyl_verdict(grid, d, np.sort(wg, axis=0)[:d],
                          (wg < -TOL_CONDITION).sum(axis=0) <= d - 1)
 
 
 def _weyl_verdict(grid: np.ndarray, d: int, smallest: np.ndarray, applicable) -> Verdict:
     """The verdict on ``smallest``, the d smallest Weyl rates in ascending rows."""
-    return _conditional_verdict(
-        "weyl_sufficient", grid, smallest.sum(axis=0), applicable,
-        lambda i: f"sum of {d} smallest Weyl rates", f"more than {d - 1} negative Weyl rates",
-    )
-
-
-def _class_weyl_sufficient(traj: Trajectory) -> Verdict:
-    """:func:`check_weyl_sufficient` on the class rates, without their (d^2-1, N+1) Weyl copy:
-    the d smallest are d-1 copies of the smallest class rate and one of the next."""
-    smallest = np.sort(traj.gammas, axis=0)[[0] * (traj.dim - 1) + [1]]
-    return _weyl_verdict(traj.grid, traj.dim, smallest,
-                         (traj.gammas < -TOL_CONDITION).sum(axis=0) <= 1)
+    return _verdict("weyl_sufficient", grid, [smallest.sum(axis=0)],
+                    lambda r, i: f"sum of {d} smallest Weyl rates", applicable=applicable,
+                    na_reason=f"more than {d - 1} negative Weyl rates")
 
 
 def check_frobenius_monotone(traj: Trajectory, family: MubFamily | None = None,
@@ -437,9 +426,7 @@ def check_frobenius_monotone(traj: Trajectory, family: MubFamily | None = None,
     ||Phi_t(x)||_F^2 = d x0^2 + sum_a lambda_a(t)^2 ||B_a(x)||_F^2, with ||B_a||_F^2 a
     class sum of |c|^2 / d; an increase while the analytic check holds is an internal error.
     """
-    verdict = _axis_mu_verdict(
-        "frobenius_monotone", traj, lambda a: f"-d/dt lambda_{a}^2 (sign of -mu_{a})"
-    )
+    verdict = _rate_verdict("frobenius_monotone", traj.grid, traj.gammas)
     if family is None or samples <= 0:
         return verdict
     if family.dim != traj.dim:
@@ -854,35 +841,33 @@ class DivisibilityReport:
         }
 
 
+#: premise -> the verdicts that must hold wherever it holds.  Nonnegative rates make the
+#: evolution CP-divisible; each sufficient pair or Weyl condition makes it P-divisible.
+#: A premise that holds also rules out every witness.  The strongest premise comes first,
+#: so a breach names the strongest premise that holds.
+_IMPLIED = {
+    "cp_divisible": ("cp_map_valid", "p_necessary", "p_sufficient", "weyl_sufficient",
+                     "frobenius_monotone"),
+    "p_sufficient": ("p_necessary", "frobenius_monotone"),
+    "weyl_sufficient": ("p_necessary", "frobenius_monotone"),
+}
+
+
 def _enforce_hierarchy(report: DivisibilityReport):
-    """Cross-check the implications that must hold on every run.
-
-    Nonnegative rates imply a legitimate CP-divisible evolution, so every
-    weaker property must hold and no witness may exist; the pair condition
-    (when it holds everywhere) implies positive divisibility, with the same
-    consequences.  A breach is a bug, never a physics finding.
-    """
-    r = report
-
-    def fail(msg):
-        raise InternalConsistencyError(f"divisibility hierarchy violated: {msg}")
-
-    if r.cp_divisible.holds:
-        if not r.cp_map_valid.holds:
-            fail("CP-divisible but the map fails the CP inequalities")
-        if not (r.p_sufficient.holds and r.p_necessary.holds and r.weyl_sufficient.holds):
-            fail("CP-divisible but a P-divisibility condition is not 'holds'")
-        if not r.frobenius_monotone.holds:
-            fail("CP-divisible but the Frobenius norm is not monotone")
-        if r.trace_norm_witness is not None or r.blp_witness is not None:
-            fail("CP-divisible but a witness was produced")
-    if r.p_sufficient.holds:
-        if not r.p_necessary.holds:
-            fail("sufficient pair condition holds but the necessary condition fails")
-        if not r.frobenius_monotone.holds:
-            fail("sufficient pair condition holds but the Frobenius norm is not monotone")
-        if r.trace_norm_witness is not None or r.blp_witness is not None:
-            fail("sufficient pair condition holds but a witness was produced")
+    """Cross-check the implications of ``_IMPLIED`` that must hold on every run.
+    A breach is a bug, never a physics finding."""
+    for premise, implied in _IMPLIED.items():
+        if not getattr(report, premise).holds:
+            continue
+        for name in implied:
+            status = getattr(report, name).status
+            if status != HOLDS:
+                raise InternalConsistencyError(
+                    f"divisibility hierarchy violated: {premise} holds but {name} is {status}")
+        for name in ("trace_norm_witness", "blp_witness"):
+            if getattr(report, name) is not None:
+                raise InternalConsistencyError(
+                    f"divisibility hierarchy violated: {premise} holds but {name} was found")
 
 
 def analyze(rates: RateSet, family: MubFamily | None = None, t_max: float = 5.0,
@@ -920,7 +905,7 @@ def analyze(rates: RateSet, family: MubFamily | None = None, t_max: float = 5.0,
             cp_divisible=check_cp_divisible(traj),
             p_necessary=check_p_necessary(traj),
             p_sufficient=check_p_sufficient(traj),
-            weyl_sufficient=_class_weyl_sufficient(traj),
+            weyl_sufficient=_rate_verdict("weyl_sufficient", traj.grid, traj.gammas),
             frobenius_monotone=check_frobenius_monotone(traj, family, seed=seed),
             trace_norm_witness=find_p_divisibility_witness(
                 traj, family, attempts=witness_attempts, refine_iters=refine_iters, seed=seed

@@ -377,3 +377,18 @@ def test_readme_cli_lines_run_as_written(tmp_path, monkeypatch, capsys):
         if code != 0:
             failed.append(f"{line!r} exited {code}: {err.strip()}")
     assert not failed, failed
+
+
+def test_readme_library_example_runs_as_written(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## Library example\n", 1)[1].split("```python\n", 1)[1]
+    block = block.split("```", 1)[0]
+    namespace = {}
+    exec(compile(block, "README.md: Library example", "exec"), namespace)
+    capsys.readouterr()
+    report = namespace["report"]
+    status_line = next(line for line in block.splitlines()
+                       if line.startswith("print(report.p_sufficient.status)"))
+    assert report.p_sufficient.status == status_line.split("#", 1)[1].strip().strip('"')
+    assert report.p_sufficient.status == "violated"
+    assert report.trace_norm_witness.kind == "positivity"

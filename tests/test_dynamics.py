@@ -452,7 +452,7 @@ class TestConditionChecks:
                  for name in ("eternal-general", "avg-decoherence")]
         trajs += [_tanh_trajectory(d, seed) for seed in range(4)]
         for traj in trajs:
-            got = dynamics._class_weyl_sufficient(traj)
+            got = dynamics._rate_verdict("weyl_sufficient", traj.grid, traj.gammas)
             ref = check_weyl_sufficient(weyl_rates_from_trajectory(traj), traj.grid, d)
             assert got.to_json_dict() == ref.to_json_dict()
             assert got.margin_series.tobytes() == ref.margin_series.tobytes()
