@@ -9,7 +9,13 @@ Subcommands:
 
 Exit codes: 0 = analysis completed (verdicts live in the report, a
 non-Markovian finding is still success), 2 = usage or validation problem,
-3 = parse/quadrature/numerical failure.
+or a file that cannot be written, 3 = parse/quadrature/numerical failure.
+
+Every file goes through :func:`_write`, which writes an iterable of text
+chunks as they come, UTF-8 with ``"\n"`` line ends.  trajectory.csv arrives
+in blocks of 512 rows and mub_d<d>_overlaps.csv in blocks of 2**14 rows, so
+no file is held whole.  Files are written only after the computation they
+record has succeeded.
 """
 
 from __future__ import annotations
@@ -31,6 +37,9 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
+#: rows of mub_d<d>_overlaps.csv formatted per block; bounds the strings held at once
+_OVERLAP_BLOCK_ROWS = 2**14
+
 
 def _bind_dash_values(argv) -> list:
     """Join ``--gamma -tanh(t)`` into ``--gamma=-tanh(t)`` (likewise --c, --lambdas
@@ -51,9 +60,13 @@ def _float_list(text: str, name: str) -> list:
         raise InvalidInputError(f"{name} must be a comma-separated float list: {exc}") from exc
 
 
-def _write(path: Path, content: str):
+def _write(path: Path, chunks):
+    """Write the text chunks of an iterable to ``path`` as they come, UTF-8 with
+    ``"\n"`` line ends whatever the locale or platform, so the file never has to be
+    held whole.  An ``OSError`` (exit 2) can leave a partial file behind."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(content)
+    with path.open("w", encoding="utf-8", newline="\n") as f:
+        f.writelines(chunks)
 
 
 def _json_text(data: dict) -> str:
@@ -81,18 +94,29 @@ def _column_text(column: np.ndarray, fmt: str) -> list:
     return list(map(text.__getitem__, inverse.tolist()))
 
 
+def _overlap_blocks(columns):
+    """The text of mub_d<d>_overlaps.csv from the columns of ``unbiasedness_arrays``:
+    the header, then the rows in blocks of ``_OVERLAP_BLOCK_ROWS``."""
+    yield "alpha,beta,k,l,overlap_sq\n"
+    *index, values = columns
+    for start in range(0, len(values), _OVERLAP_BLOCK_ROWS):
+        span = slice(start, start + _OVERLAP_BLOCK_ROWS)
+        text = [_column_text(column[span], "%d") for column in index]
+        text.append(_column_text(values[span], "%.17g"))
+        yield "\n".join(map(",".join, zip(*text))) + "\n"
+
+
 def cmd_mub(args) -> int:
     d = args.d
     family = mub_family(d)
     out = Path(args.out)
     data = family.to_json_dict()
     bases, data["bases"] = np.asarray(data["bases"]), None
-    _write(out / f"mub_d{d}.json", _json_text(data).replace(
-        '"bases": null', '"bases": ' + _array_json(bases, 1), 1))
-    *index, values = unbiasedness_arrays(family)
-    text = [_column_text(column, "%d") for column in index] + [_column_text(values, "%.17g")]
-    lines = "\n".join(map(",".join, zip(*text)))
-    _write(out / f"mub_d{d}_overlaps.csv", f"alpha,beta,k,l,overlap_sq\n{lines}\n")
+    head, _, tail = _json_text(data).partition("null")  # the document's one null: "bases"
+    _write(out / f"mub_d{d}.json", (head, _array_json(bases, 1), tail))
+    columns = unbiasedness_arrays(family)
+    _write(out / f"mub_d{d}_overlaps.csv", _overlap_blocks(columns))
+    values = columns[-1]
     worst = float(np.abs(values - 1.0 / d).max())
     print(f"d={d}: {family.n_bases} bases, {len(values)} cross-overlap rows, "
           f"max |overlap^2 - 1/d| = {worst:.3e}")
@@ -128,7 +152,7 @@ def cmd_channel(args) -> int:
         print(f"choi min eigenvalue: {choi_min:.17g}")
     if args.out is not None:
         out = Path(args.out)
-        _write(out / f"channel_d{d}.json", _json_text(ch.to_json_dict()))
+        _write(out / f"channel_d{d}.json", [_json_text(ch.to_json_dict())])
         print(f"wrote {out / f'channel_d{d}.json'}")
     return EXIT_OK
 
@@ -155,8 +179,8 @@ def cmd_dynamics(args) -> int:
         blp_pairs=args.blp_pairs,
     )
     out = Path(args.out)
-    _write(out / "trajectory.csv", dyn.trajectory_to_csv(traj))
-    _write(out / "report.json", _json_text(report.to_json_dict()))
+    _write(out / "trajectory.csv", dyn.trajectory_csv_blocks(traj))
+    _write(out / "report.json", [_json_text(report.to_json_dict())])
     for v in report.verdicts:
         extra = ""
         if v.status == dyn.VIOLATED and v.first_violation_time is not None:

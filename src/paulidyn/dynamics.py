@@ -948,41 +948,54 @@ class _Background(threading.Thread):
 
 
 def trajectory_to_csv(traj: Trajectory) -> str:
-    """CSV with columns t, gamma_1.., Gamma_1.., lambda_1.., each value format(x, ".17g").
+    """CSV with columns t, gamma_1.., Gamma_1.., lambda_1.., each value format(x, ".17g"):
+    the blocks of :func:`trajectory_csv_blocks` joined."""
+    return "".join(trajectory_csv_blocks(traj))
 
-    The rows are built in blocks of ``_CSV_BLOCK_ROWS``.  Within a block each
-    distinct column (by bit pattern, so 0.0 and -0.0 stay apart) is formatted
-    once, and a constant column one value, by ``csvtext.format_values``, an
-    exact vectorized ``%.17g``: the 17 digits of ``x = M * 2**(e - 53)`` are
-    ``round-half-even(M * C)`` with ``C = 2**(e - 53) * 10**(16 - k)`` held as
-    an exact double-double, and Dekker's TwoProduct bounds the error of the
-    product's fraction by ``2**-45``.  Values within ``2**-30`` of a tie, exact
-    ties included, and non-finite values go through Python's ``"%.17g"``.  The
-    one assumption is that each numpy float64 ufunc call is one IEEE-754
-    round-to-nearest operation.  The text is byte-identical to formatting value
-    by value.  On the four 10^4-step tables of the fine-grid benchmark (d <= 3)
-    it takes 26-30 ms, against 51-63 ms with Python's ``%`` per distinct column
-    (min of 9 interleaved calls on a shared 2-vCPU host).
+
+def trajectory_csv_blocks(traj: Trajectory):
+    """The text of :func:`trajectory_to_csv` as it is built: the header line, then the
+    rows in blocks of ``_CSV_BLOCK_ROWS``, so a writer holds one block at a time.
+
+    Within a block each distinct column (by bit pattern, so 0.0 and -0.0 stay
+    apart) is formatted once, and a constant column one value, by
+    ``csvtext.format_values``, an exact vectorized ``%.17g``: the 17 digits of
+    ``x = M * 2**(e - 53)`` are ``round-half-even(M * C)`` with
+    ``C = 2**(e - 53) * 10**(16 - k)`` held as an exact double-double, and
+    Dekker's TwoProduct bounds the error of the product's fraction by
+    ``2**-45``.  Values within ``2**-30`` of a tie, exact ties included, and
+    non-finite values go through Python's ``"%.17g"``.  The one assumption is
+    that each numpy float64 ufunc call is one IEEE-754 round-to-nearest
+    operation.  The text is byte-identical to formatting value by value.  On
+    the four 10^4-step tables of the fine-grid benchmark (d <= 3) it takes
+    26-30 ms, against 51-63 ms with Python's ``%`` per distinct column (min of
+    9 interleaved calls on a shared 2-vCPU host).
     """
+    cols = ["t"] + [f"{name}_{a + 1}" for name in ("gamma", "Gamma", "lambda")
+                    for a in range(traj.dim + 1)]
+    yield ",".join(cols) + "\n"
+    for start in range(0, len(traj.grid), _CSV_BLOCK_ROWS):
+        yield _csv_block(traj, slice(start, start + _CSV_BLOCK_ROWS))
+
+
+def _csv_block(traj: Trajectory, span: slice) -> str:
+    """The rows of trajectory.csv in ``span``; its arrays are released on return."""
     # imported here: a process that writes no trajectory does not load the kernel
     from .csvtext import format_values
 
-    cols = ["t"] + [f"{name}_{a + 1}" for name in ("gamma", "Gamma", "lambda")
-                    for a in range(traj.dim + 1)]
-    parts = [",".join(cols) + "\n"]
-    for start in range(0, len(traj.grid), _CSV_BLOCK_ROWS):
-        span = slice(start, start + _CSV_BLOCK_ROWS)
-        block = np.vstack((traj.grid[span], traj.gammas[:, span], traj.big_gammas[:, span],
-                           traj.lambdas[:, span]))
-        bits, rows = block.view(np.int64), block.shape[1]
-        constant = (bits == bits[:, :1]).all(axis=1)
-        first = {}
-        source = [first.setdefault(column.tobytes(), k) for k, column in enumerate(bits)]
-        x = np.concatenate([block[k, :1] if constant[k] else block[k] for k in first.values()])
-        values = format_values(x)
-        text, at = {}, 0
-        for k in first.values():
-            text[k] = values[at:at + 1] * rows if constant[k] else values[at:at + rows]
-            at += 1 if constant[k] else rows
-        parts.append("\n".join(map(",".join, zip(*[text[k] for k in source]))) + "\n")
-    return "".join(parts)
+    block = np.vstack((traj.grid[span], traj.gammas[:, span], traj.big_gammas[:, span],
+                       traj.lambdas[:, span]))
+    bits, rows = block.view(np.int64), block.shape[1]
+    constant = (bits == bits[:, :1]).all(axis=1)
+    first = {}
+    source = [first.setdefault(column.tobytes(), k) for k, column in enumerate(bits)]
+    x = np.concatenate([block[k, :1] if constant[k] else block[k] for k in first.values()])
+    del block, bits  # x holds the distinct values: release the block before the text
+    values = format_values(x)
+    text, at = {}, 0
+    for k in first.values():
+        text[k] = values[at:at + 1] * rows if constant[k] else values[at:at + rows]
+        at += 1 if constant[k] else rows
+    lines = list(map(",".join, zip(*[text[k] for k in source])))
+    lines.append("")  # the block's last newline, without a second copy of its text
+    return "\n".join(lines)

@@ -232,12 +232,29 @@ def _require(ok: np.ndarray, t: np.ndarray, message):
         raise EvaluationError(f"{message(i)} at t={float(t[i])!r}")
 
 
+def _literal(node):
+    """The value of a literal, a number or a negated number, as a Python float; else None."""
+    kind = type(node)
+    if kind is Num:
+        return node.value
+    if kind is Neg and type(node.operand) is Num:
+        return -node.operand.value
+    return None
+
+
 def _walk(node, t: np.ndarray, checked: bool, outs: list) -> np.ndarray:
     """Values of the subtree at every time of ``t``; appends each operator's output to ``outs``.
 
     With ``checked``, after each operator: ln of a value <= 0, division by zero
     and any non-finite result raise :class:`EvaluationError` naming the earliest
     offending t.  Constants need no check: ``parse`` admits only finite literals.
+
+    A literal beside a non-literal operand of + - * / goes in as a Python float,
+    which numpy broadcasts to the same IEEE-754 result as an array filled with
+    it.  Other literals stay filled arrays: the operands of ^, function
+    arguments, and both operands of an operator on literals alone, whose result
+    would otherwise be a scalar.  numpy's exp, tanh and power loops are not
+    known to round alike for a scalar and an array.
     """
     kind = type(node)
     if kind is Var:
@@ -251,11 +268,15 @@ def _walk(node, t: np.ndarray, checked: bool, outs: list) -> np.ndarray:
         args = [_walk(a, t, checked, outs) for a in node.args]
     else:
         name, ufunc = node.op, _OPERATORS[node.op][1]
-        args = [_walk(node.left, t, checked, outs), _walk(node.right, t, checked, outs)]
+        left, right = _literal(node.left), _literal(node.right)
+        if name == "^" or (left is None) == (right is None):
+            left = right = None
+        args = [_walk(node.left, t, checked, outs) if left is None else left,
+                _walk(node.right, t, checked, outs) if right is None else right]
     if checked and name == "ln":
         _require(args[0] > 0.0, t, lambda i: f"ln of nonpositive value {float(args[0][i])!r}")
     elif checked and name == "/":
-        _require(args[1] != 0.0, t, lambda i: "division by zero")
+        _require(np.broadcast_to(args[1] != 0.0, t.shape), t, lambda i: "division by zero")
     out = ufunc(*args)
     if checked:
         _require(np.isfinite(out), t,

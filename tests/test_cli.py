@@ -337,6 +337,94 @@ class TestDynamics:
         assert stdout_a.replace(str(out_a), "") == stdout_b.replace(str(out_b), "")
 
 
+#: one call per command that writes files, each with its small inputs
+_WRITING_COMMANDS = {
+    "mub": ["mub", "--d", "3"],
+    "channel": ["channel", "--d", "2", "--lambdas", "1,-1,-1"],
+    "dynamics": ["dynamics", "--preset", "avg-decoherence", "--d", "3", "--steps", "600",
+                 "--attempts", "4", "--blp-pairs", "2"],
+}
+
+
+class TestArtifactFiles:
+    """How the commands write their files: text with "\n" line ends, nothing on failure."""
+
+    @pytest.mark.parametrize("command", sorted(_WRITING_COMMANDS))
+    def test_out_naming_a_regular_file_exits_2(self, command, tmp_path, capsys):
+        target = tmp_path / "taken"
+        target.write_text("keep\n")
+        code, _, err = run(_WRITING_COMMANDS[command] + ["--out", str(target)], capsys)
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err
+        assert target.read_text() == "keep\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["dynamics", "--d", "2", "--gamma", "1+", "--gamma", "1", "--gamma", "1"],
+        ["dynamics", "--d", "2", "--gamma", "ln(t-1)", "--gamma", "1", "--gamma", "1"],
+        ["mub", "--d", "4"],
+        ["channel", "--d", "2", "--lambdas", "1,x,1"],
+    ], ids=["parse", "evaluation", "nonprime", "float-list"])
+    def test_a_failed_command_leaves_no_file(self, argv, tmp_path, capsys):
+        out = tmp_path / "out"
+        code, _, err = run(argv + ["--out", str(out)], capsys)
+        assert code in (2, 3) and err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", sorted(_WRITING_COMMANDS))
+    def test_every_artifact_is_lf_text_ending_in_a_newline(self, command, tmp_path, capsys):
+        code, _, err = run(_WRITING_COMMANDS[command] + ["--out", str(tmp_path)], capsys)
+        assert code == 0, err
+        files = sorted(tmp_path.iterdir())
+        assert files
+        for path in files:
+            data = path.read_bytes()
+            assert data.endswith(b"\n") and b"\r" not in data, path.name
+            data.decode("ascii")
+
+
+def _traced_growth(call) -> tuple:
+    """(call(), the peak bytes traced by tracemalloc during it above its starting level)."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestWriterMemory:
+    """The writers hold one block of text at a time, never a whole file."""
+
+    def test_trajectory_writer_at_d31_holds_under_3_mib(self, tmp_path, capsys, monkeypatch):
+        from paulidyn import cli, dynamics, mub_family, preset_rates
+
+        # analyze and the MUB family run before tracing: what is traced is the writing
+        family = mub_family(31)
+        result = dynamics.analyze(preset_rates("avg-decoherence", d=31), family, steps=10_000,
+                                  witness_attempts=0, blp_pairs=2)
+        monkeypatch.setattr(cli, "mub_family", lambda d: family)
+        monkeypatch.setattr(cli.dyn, "analyze", lambda *args, **kwargs: result)
+        argv = ["dynamics", "--preset", "avg-decoherence", "--d", "31", "--steps", "10000",
+                "--out", str(tmp_path)]
+        code, held = _traced_growth(lambda: main(argv))
+        assert code == 0, capsys.readouterr().err
+        assert held < 3 * 2**20, f"{held / 2**20:.2f} MiB"
+        text = (tmp_path / "trajectory.csv").read_bytes()
+        assert text == dynamics.trajectory_to_csv(result[0]).encode()
+
+    def test_mub_d31_peaks_under_31_mib(self, tmp_path, capsys):
+        # 25.5 MiB with the overlaps in row blocks, plus 20 %; the five 476,656-row columns
+        # of unbiasedness_arrays (18 MiB) are the largest item, and whole files peak at 94 MiB
+        code, held = _traced_growth(lambda: main(["mub", "--d", "31", "--out", str(tmp_path)]))
+        assert code == 0, capsys.readouterr().err
+        assert held < 30.6 * 2**20, f"{held / 2**20:.2f} MiB"
+
+
 class TestMisc:
     def test_presets_list(self, capsys):
         code, out, _ = run(["presets", "list"], capsys)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from paulidyn.errors import EvaluationError, InvalidInputError, ParseError, QuadratureError
@@ -15,6 +15,9 @@ from paulidyn.ratefn import (
     RateSet,
     Var,
     _eval_node,
+    _FUNCTIONS,
+    _OPERATORS,
+    _require,
     _walk,
     evaluate,
     integrate,
@@ -233,6 +236,77 @@ class TestOneCheckPerWalk:
     def test_midpoint_error_without_grid_error(self):
         with pytest.raises(EvaluationError, match=r"^division by zero at t=0\.05$"):
             running_integral(parse("1/(t - 0.05)"), np.linspace(0.0, 1.0, 11), 1e-8)
+
+
+def _filled_walk(node, t: np.ndarray, checked: bool, outs: list) -> np.ndarray:
+    """``_walk`` with every literal an array filled by ``np.full``: the reference that
+    the scalar literal operands must match bit for bit."""
+    kind = type(node)
+    if kind is Var:
+        return t
+    if kind is Num:
+        return np.full(t.shape, node.value)
+    if kind is Neg:
+        return -_filled_walk(node.operand, t, checked, outs)
+    if kind is Call:
+        name, ufunc = node.name, _FUNCTIONS[node.name]
+        args = [_filled_walk(a, t, checked, outs) for a in node.args]
+    else:
+        name, ufunc = node.op, _OPERATORS[node.op][1]
+        args = [_filled_walk(node.left, t, checked, outs),
+                _filled_walk(node.right, t, checked, outs)]
+    if checked and name == "ln":
+        _require(args[0] > 0.0, t, lambda i: f"ln of nonpositive value {float(args[0][i])!r}")
+    elif checked and name == "/":
+        _require(args[1] != 0.0, t, lambda i: "division by zero")
+    out = ufunc(*args)
+    if checked:
+        _require(np.isfinite(out), t,
+                 lambda i: f"{'overflow' if np.isinf(out[i]) else 'domain error'} in {name}")
+    outs.append(out)
+    return out
+
+
+def _filled_eval(node, t: np.ndarray) -> np.ndarray:
+    """``_eval_node`` through :func:`_filled_walk`."""
+    outs = []
+    with np.errstate(all="ignore"):
+        out = _filled_walk(node, t, False, outs)
+        if outs and not np.isfinite(np.concatenate(outs)).all():
+            return _filled_walk(node, t, True, [])
+    return out
+
+
+def _checked(walk):
+    def run(node, t):
+        with np.errstate(all="ignore"):
+            return walk(node, t, True, [])
+    return run
+
+
+class TestLiteralOperands:
+    """A literal operand of + - * / passed as a Python float gives the filled array's bits."""
+
+    @given(_edge_nodes, _times)
+    @example(parse("t/0").root, np.linspace(0.0, 1.0, 5))
+    @example(parse("1 + 2/3*t").root, np.linspace(0.0, 5.0, 41))
+    @example(parse("t^2 - 0.5").root, np.linspace(-1.0, 5.0, 61))
+    @example(parse("pow(t, 0.5) + 1").root, np.linspace(0.0, 5.0, 41))
+    @example(parse("-0 * t - -2").root, np.linspace(-1.0, 1.0, 5))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_filled_walk(self, node, t):
+        def outcome(fn):
+            try:
+                return fn(node, t).tobytes()
+            except EvaluationError as exc:
+                return str(exc)
+
+        assert outcome(_eval_node) == outcome(_filled_eval)
+        assert outcome(_checked(_walk)) == outcome(_checked(_filled_walk))
+
+    def test_division_by_a_zero_literal_names_the_first_time(self):
+        with pytest.raises(EvaluationError, match=r"^division by zero at t=0\.0$"):
+            _eval_node(parse("t/0").root, np.linspace(0.0, 1.0, 5))
 
 
 class TestPrintRoundTrip:

@@ -26,6 +26,11 @@ It then runs ``paulidyn mub`` for d in {2, 3, 5, 7, 11, 13, 31} and prints::
 
     mub-d<d> <sha256 of mub_d<d>.json> <sha256 of mub_d<d>_overlaps.csv>
 
+and ``paulidyn channel --out`` for one CP and one non-CP channel at d=2 and at
+d=3, each given by ``--lambdas`` and by ``--probs``::
+
+    channel-<case> <sha256 of channel_d<d>.json>
+
 A case that exits non-zero prints ``exit=<code> <sha256 of its stderr>`` in
 place of the hashes, so its error message is pinned as well.
 Whether two checkouts write byte-identical artifacts is then one ``diff``::
@@ -62,6 +67,14 @@ from paulidyn.cli import main
 
 SEEDS = (42, 7)
 MUB_DIMS = (2, 3, 5, 7, 11, 13, 31)
+
+# (d, flag, values): a CP and a non-CP channel per d and coordinate flag
+CHANNELS = (
+    (2, "lambdas", "0.5,0.3,0.2"), (2, "lambdas", "0.9,0.9,-0.9"),
+    (2, "probs", "0.7,0.1,0.1,0.1"), (2, "probs", "1.2,-0.1,-0.05,-0.05"),
+    (3, "lambdas", "0.5,0.2,0.1,0.3"), (3, "lambdas", "0.6,-0.1,0.25,0.05"),
+    (3, "probs", "0.2,0.2,0.2,0.2,0.2"), (3, "probs", "0.6,0.3,0.2,-0.05,-0.05"),
+)
 
 # (a, b, c, e) per rate of a + b*tanh(c*(t - e)), three rates per d=2 set
 TANH_SETS = (
@@ -191,6 +204,10 @@ def run_matrix(fields: bool = False) -> None:
     for d in MUB_DIMS:
         outputs = (f"mub_d{d}.json", f"mub_d{d}_overlaps.csv")
         print(f"mub-d{d} {run_case(['mub', f'--d={d}'], outputs)}", flush=True)
+    for d, flag, values in CHANNELS:
+        argv = ["channel", f"--d={d}", f"--{flag}={values}"]
+        print(f"channel-d{d}-{flag}-{values} {run_case(argv, (f'channel_d{d}.json',))}",
+              flush=True)
 
 
 if __name__ == "__main__":
