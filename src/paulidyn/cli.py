@@ -13,9 +13,9 @@ or a file that cannot be written, 3 = parse/quadrature/numerical failure.
 
 Every file goes through :func:`_write`, which writes an iterable of text
 chunks as they come, UTF-8 with ``"\n"`` line ends.  trajectory.csv arrives
-in blocks of 512 rows and mub_d<d>_overlaps.csv in blocks of 2**14 rows, so
-no file is held whole.  Files are written only after the computation they
-record has succeeded.
+in blocks of 512 rows and mub_d<d>_overlaps.csv one basis pair (d**2 rows)
+at a time, so no file is held whole.  Files are written only after the
+computation they record has succeeded.
 """
 
 from __future__ import annotations
@@ -30,15 +30,12 @@ import numpy as np
 from . import channel as channel_mod
 from . import dynamics as dyn
 from .errors import InvalidInputError, PaulidynError
-from .mub import mub_family, unbiasedness_arrays
+from .mub import cross_overlaps, mub_family
 from .ratefn import PRESET_NAMES, PRESET_SUMMARIES, preset_rates, rate_set
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
-
-#: rows of mub_d<d>_overlaps.csv formatted per block; bounds the strings held at once
-_OVERLAP_BLOCK_ROWS = 2**14
 
 
 def _bind_dash_values(argv) -> list:
@@ -94,16 +91,15 @@ def _column_text(column: np.ndarray, fmt: str) -> list:
     return list(map(text.__getitem__, inverse.tolist()))
 
 
-def _overlap_blocks(columns):
-    """The text of mub_d<d>_overlaps.csv from the columns of ``unbiasedness_arrays``:
-    the header, then the rows in blocks of ``_OVERLAP_BLOCK_ROWS``."""
+def _overlap_blocks(d: int, pairs):
+    """The text of mub_d<d>_overlaps.csv from the (alpha, beta, overlap) pairs of
+    ``cross_overlaps``: the header, then one block of d*d rows per basis pair."""
     yield "alpha,beta,k,l,overlap_sq\n"
-    *index, values = columns
-    for start in range(0, len(values), _OVERLAP_BLOCK_ROWS):
-        span = slice(start, start + _OVERLAP_BLOCK_ROWS)
-        text = [_column_text(column[span], "%d") for column in index]
-        text.append(_column_text(values[span], "%.17g"))
-        yield "\n".join(map(",".join, zip(*text))) + "\n"
+    kl = [f"{k},{l}," for k, l in np.ndindex(d, d)]
+    for a, b, overlap in pairs:
+        ab = f"{a},{b},"
+        yield "".join([ab + k_l + value + "\n" for k_l, value
+                       in zip(kl, _column_text(overlap.ravel(), "%.17g"))])
 
 
 def cmd_mub(args) -> int:
@@ -114,12 +110,16 @@ def cmd_mub(args) -> int:
     bases, data["bases"] = np.asarray(data["bases"]), None
     head, _, tail = _json_text(data).partition("null")  # the document's one null: "bases"
     _write(out / f"mub_d{d}.json", (head, _array_json(bases, 1), tail))
-    columns = unbiasedness_arrays(family)
-    _write(out / f"mub_d{d}_overlaps.csv", _overlap_blocks(columns))
-    values = columns[-1]
-    worst = float(np.abs(values - 1.0 / d).max())
-    print(f"d={d}: {family.n_bases} bases, {len(values)} cross-overlap rows, "
-          f"max |overlap^2 - 1/d| = {worst:.3e}")
+    worst = []  # max |overlap^2 - 1/d| of each pair, taken as the pair is written
+
+    def pairs():
+        for a, b, overlap in cross_overlaps(family):
+            worst.append(float(np.abs(overlap - 1.0 / d).max()))
+            yield a, b, overlap
+
+    _write(out / f"mub_d{d}_overlaps.csv", _overlap_blocks(d, pairs()))
+    print(f"d={d}: {family.n_bases} bases, {len(worst) * d * d} cross-overlap rows, "
+          f"max |overlap^2 - 1/d| = {max(worst):.3e}")
     print(f"wrote {out / f'mub_d{d}.json'} and {out / f'mub_d{d}_overlaps.csv'}")
     return EXIT_OK
 
@@ -239,7 +239,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="seeded start pairs for the witness see-saw (0: axis scan only)")
     p_dyn.add_argument("--refine-iters", type=int, default=50,
                        help="cap on see-saw steps per round and on pair-step rounds")
-    p_dyn.add_argument("--blp-pairs", type=int, default=20)
+    p_dyn.add_argument("--blp-pairs", type=int, default=20,
+                       help="state pairs for the BLP trace-distance probe: one antipodal "
+                            "pair per basis, then seeded random mixed pairs")
     p_dyn.add_argument("--out", default=".", help="output directory")
     p_dyn.set_defaults(func=cmd_dynamics)
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import contextvars
 import math
-import threading
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -877,30 +877,29 @@ def analyze(rates: RateSet, family: MubFamily | None = None, t_max: float = 5.0,
     """Build the trajectory and run every analyzer; returns (trajectory, report).
 
     Above ``CLOSED_FORM_MAX_DIM`` the BLP probe is mostly ``eigvalsh`` stacks,
-    which release the interpreter lock, so it runs on a second thread while
-    this one runs the grid checks, the Frobenius cross-check and the witness
-    search; on two cores the large-d bench (d = 11, 13) went from 9.4 to 13.3
-    analyses/s.  At d <= 3 its closed forms are many small numpy calls that
-    hold the lock, and threading them too raised the qubit-screen median
-    analysis from 2.55 to 3.50 ms, so there it runs inline.  Every probe
-    draws from its own seeded generator and reads only the frozen trajectory
-    and the family, so the report does not depend on the threads.  The
-    probe's thread starts in a copy of this thread's context (numpy's error
-    state) and is joined on every path; its result, or its exception, is
-    taken only after the other stages finish, so an error from those stages
-    wins as it would in sequence.  A multithreaded BLAS now serves two
-    callers at once.
+    which release the interpreter lock, so it runs on a worker thread beside
+    the other stages: on two cores the large-d bench (d = 11, 13) went from 9.4
+    to 13.3 analyses/s.  At d <= 3 its closed forms are many small numpy calls
+    that hold the lock (threading them raised the qubit-screen median from 2.55
+    to 3.50 ms, and an empty executor cost it about 3 %), so there it runs
+    inline.  The probe has its own seeded generator, reads only frozen inputs
+    and runs in a copy of this thread's context (numpy's error state), so the
+    report does not depend on the threads; its error is taken after the other
+    stages', which win as in sequence.  A multithreaded BLAS serves two callers.
     """
+    # imported here: concurrent.futures loads logging (~9 ms), which mub and channel never need
+    from concurrent.futures import ThreadPoolExecutor
+
     if seed < 0:
         raise InvalidInputError(f"seed must be >= 0, got {seed}")
     if family is None:
         family = mub_family(rates.dim)
     traj = build_trajectory(rates, t_max=t_max, steps=steps, tol=tol)
-    blp = _Background(check_blp, traj, family, pairs=blp_pairs, seed=seed) \
-        if traj.dim > CLOSED_FORM_MAX_DIM else None
-    try:
-        report = DivisibilityReport(
-            dim=traj.dim, t_max=float(t_max), steps=traj.steps, seed=seed,
+    threaded = traj.dim > CLOSED_FORM_MAX_DIM
+    with ThreadPoolExecutor(max_workers=1) if threaded else nullcontext() as pool:
+        blp = pool.submit(contextvars.copy_context().run, check_blp, traj, family,
+                          pairs=blp_pairs, seed=seed) if threaded else None
+        stages = dict(
             cp_map_valid=check_cptp_trajectory(traj),
             cp_divisible=check_cp_divisible(traj),
             p_necessary=check_p_necessary(traj),
@@ -910,41 +909,14 @@ def analyze(rates: RateSet, family: MubFamily | None = None, t_max: float = 5.0,
             trace_norm_witness=find_p_divisibility_witness(
                 traj, family, attempts=witness_attempts, refine_iters=refine_iters, seed=seed
             ),
-            blp_witness=check_blp(traj, family, pairs=blp_pairs, seed=seed) if blp is None
-            else None,
         )
-    finally:
-        if blp is not None:
-            blp.join()
-    if blp is not None:
-        report = replace(report, blp_witness=blp.result())
+    report = DivisibilityReport(
+        dim=traj.dim, t_max=float(t_max), steps=traj.steps, seed=seed, **stages,
+        blp_witness=check_blp(traj, family, pairs=blp_pairs, seed=seed) if blp is None
+        else blp.result(),
+    )
     _enforce_hierarchy(report)
     return traj, report
-
-
-class _Background(threading.Thread):
-    """``fn(*args, **kwargs)`` on a thread of its own, in a copy of the starting thread's
-    context, so it sees the same numpy error state.  :meth:`result` joins the thread and
-    returns what ``fn`` returned or raises what it raised."""
-
-    def __init__(self, fn, *args, **kwargs):
-        super().__init__(daemon=True)
-        self._call = (contextvars.copy_context(), fn, args, kwargs)
-        self._value = self._error = None
-        self.start()
-
-    def run(self):
-        context, fn, args, kwargs = self._call
-        try:
-            self._value = context.run(fn, *args, **kwargs)
-        except BaseException as exc:  # handed to the caller by result()
-            self._error = exc
-
-    def result(self):
-        self.join()
-        if self._error is not None:
-            raise self._error
-        return self._value
 
 
 def trajectory_to_csv(traj: Trajectory) -> str:

@@ -250,17 +250,17 @@ def spectral_apply(family: MubFamily, eig: np.ndarray, x: np.ndarray) -> np.ndar
     return out
 
 
-def unbiasedness_arrays(family: MubFamily) -> tuple:
-    """All cross-basis squared overlaps |<psi_k|phi_l>|^2 of basis alpha < beta, as five
-    (R,) columns alpha, beta, k, l (int64) and the overlaps, in (alpha, beta, k, l) order."""
-    d = family.dim
-    a, b = np.triu_indices(family.n_bases, 1)
-    overlaps = np.einsum("akm,blm->abkl", family.bases.conj(), family.bases)[a, b]
-    k, l = np.divmod(np.arange(d * d, dtype=np.int64), d)
-    return (np.repeat(a + 1, d * d), np.repeat(b + 1, d * d), np.tile(k, a.size),
-            np.tile(l, a.size), (np.abs(overlaps) ** 2).reshape(-1))
+def cross_overlaps(family: MubFamily):
+    """Yield (alpha, beta, |<psi_k|phi_l>|^2 as a (d, d) [k, l] array) for each basis pair
+    alpha < beta (1-based), in order, so a reader holds one pair at a time."""
+    bases = family.bases
+    for a in range(family.n_bases):
+        for b in range(a + 1, family.n_bases):
+            yield a + 1, b + 1, np.abs(np.einsum("km,lm->kl", bases[a].conj(), bases[b])) ** 2
 
 
 def unbiasedness_table(family: MubFamily) -> list:
     """All cross-basis squared overlaps, as (alpha, beta, k, l, |<psi|phi>|^2) rows."""
-    return list(zip(*(column.tolist() for column in unbiasedness_arrays(family))))
+    d = family.dim
+    return [(a, b, k, l, value) for a, b, overlap in cross_overlaps(family)
+            for (k, l), value in zip(np.ndindex(d, d), overlap.ravel().tolist())]

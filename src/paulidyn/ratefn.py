@@ -37,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EvaluationError, InvalidInputError, ParseError, QuadratureError
+from .mub import _check_dim
 
 # ---------------------------------------------------------------------------
 # AST
@@ -449,14 +450,14 @@ def preset_rates(name: str, d: int | None = None, constants=None) -> RateSet:
     if name == "eternal-general":
         if d is None:
             raise InvalidInputError("eternal-general requires d")
-        _require_preset_dim(d)
+        d = _check_dim(d)
         lead = f"1 + (({d}-2)/{d})*tanh(t)"
         tail = f"-(2/{d})*tanh(t)"
         return rate_set(d, [lead, lead] + [tail] * (d - 1))
     if name == "avg-decoherence":
         if d is None:
             raise InvalidInputError("avg-decoherence requires d")
-        _require_preset_dim(d)
+        d = _check_dim(d)
         last = f"-({d}-1)*(exp({d}*t)-1)/(exp({d}*t)+{d}-1)"
         return rate_set(d, ["1"] * d + [last])
     if name == "semigroup":
@@ -468,14 +469,9 @@ def preset_rates(name: str, d: int | None = None, constants=None) -> RateSet:
         dim = len(values) - 1
         if d is not None and d != dim:
             raise InvalidInputError(f"semigroup got {len(values)} constants but d={d}")
-        _require_preset_dim(dim)
+        _check_dim(dim)
         return rate_set(dim, [repr(c) for c in values])
     raise InvalidInputError(f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
-
-
-def _require_preset_dim(d: int):
-    if not isinstance(d, (int,)) or d < 2:
-        raise InvalidInputError(f"preset dimension must be an integer >= 2, got {d!r}")
 
 
 PRESET_NAMES = ("eternal-qubit", "eternal-general", "avg-decoherence", "semigroup")

@@ -417,6 +417,19 @@ class TestWriterMemory:
         text = (tmp_path / "trajectory.csv").read_bytes()
         assert text == dynamics.trajectory_to_csv(result[0]).encode()
 
+    def test_overlaps_writer_at_d31_holds_under_2_mib(self, tmp_path):
+        from paulidyn import cli
+        from paulidyn.mub import cross_overlaps, mub_family
+
+        # about 0.23 MiB one basis pair at a time; 25.5 MiB with all 476,656 rows' columns
+        family = mub_family(31)
+        path = tmp_path / "mub_d31_overlaps.csv"
+        _, held = _traced_growth(
+            lambda: cli._write(path, cli._overlap_blocks(31, cross_overlaps(family))))
+        assert held < 2 * 2**20, f"{held / 2**20:.2f} MiB"
+        with path.open() as f:
+            assert sum(1 for _ in f) == 1 + 32 * 31 // 2 * 31**2
+
     def test_mub_d31_peaks_under_31_mib(self, tmp_path, capsys):
         # 25.5 MiB with the overlaps in row blocks, plus 20 %; the five 476,656-row columns
         # of unbiasedness_arrays (18 MiB) are the largest item, and whole files peak at 94 MiB

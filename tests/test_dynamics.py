@@ -822,6 +822,19 @@ class TestConcurrentAnalyze:
             analyze(preset_rates("avg-decoherence", d=5), steps=100)
         assert threading.active_count() == threads
 
+    def test_probe_base_exception_is_raised(self, monkeypatch):
+        class Stop(BaseException):  # not an Exception: the worker must hand it over anyway
+            pass
+
+        def stop(*args, **kwargs):
+            raise Stop("BLP probe stopped")
+
+        monkeypatch.setattr(dynamics, "check_blp", stop)
+        threads = threading.active_count()
+        with pytest.raises(Stop, match="BLP probe stopped"):
+            analyze(preset_rates("avg-decoherence", d=5), steps=100)
+        assert threading.active_count() == threads
+
     @pytest.mark.parametrize("probe_first", [True, False])
     def test_witness_search_error_wins(self, probe_first, monkeypatch):
         probe_done = threading.Event()

@@ -490,6 +490,14 @@ class TestPresets:
         with pytest.raises(InvalidInputError):
             preset_rates("semigroup", d=3, constants=(1, 1, 1))
 
+    @pytest.mark.parametrize("name", ["eternal-general", "avg-decoherence"])
+    def test_numpy_integer_dimension(self, name):
+        # the same dimension rule as mub_family, which accepts numpy integers
+        assert preset_rates(name, d=np.int64(5)) == preset_rates(name, d=5)
+        for bad in (1, np.int64(1), 5.0):
+            with pytest.raises(InvalidInputError, match="dimension must be an integer"):
+                preset_rates(name, d=bad)
+
     def test_rate_set_length_check(self):
         with pytest.raises(InvalidInputError):
             rate_set(2, ["1", "1"])
