@@ -127,8 +127,6 @@ def cmd_mub(args) -> int:
 def cmd_channel(args) -> int:
     d = args.d
     family = mub_family(d)
-    if (args.lambdas is None) == (args.probs is None):
-        raise InvalidInputError("provide exactly one of --lambdas or --probs")
     if args.lambdas is not None:
         lam = _float_list(args.lambdas, "--lambdas")
         ch = channel_mod.channel_from_eigenvalues(family, lam)
@@ -159,12 +157,10 @@ def cmd_channel(args) -> int:
 
 def _resolve_rates(args):
     if args.preset is not None:
-        constants = None
-        if args.c is not None:
-            constants = _float_list(args.c, "--c")
+        constants = None if args.c is None else _float_list(args.c, "--c")
         return preset_rates(args.preset, d=args.d, constants=constants)
-    if not args.gamma:
-        raise InvalidInputError("provide --preset or at least one --gamma expression")
+    if args.c is not None:
+        raise InvalidInputError("--c takes the constants of --preset semigroup only")
     if args.d is None:
         raise InvalidInputError("--d is required with explicit --gamma rates")
     return rate_set(args.d, args.gamma)
@@ -219,18 +215,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ch = sub.add_parser("channel", help="convert/certify a static channel")
     p_ch.add_argument("--d", type=int, required=True)
-    p_ch.add_argument("--lambdas", help="comma list lambda_1..lambda_{d+1}")
-    p_ch.add_argument("--probs", help="comma list p_0..p_{d+1}")
+    coords = p_ch.add_mutually_exclusive_group(required=True)
+    coords.add_argument("--lambdas", help="comma list lambda_1..lambda_{d+1}")
+    coords.add_argument("--probs", help="comma list p_0..p_{d+1}")
     p_ch.add_argument("--format", choices=["text", "json"], default="text")
     p_ch.add_argument("--out", default=None, help="also write channel JSON here")
     p_ch.set_defaults(func=cmd_channel)
 
     p_dyn = sub.add_parser("dynamics", help="integrate rates and analyze divisibility")
-    p_dyn.add_argument("--preset", choices=list(PRESET_NAMES))
+    source = p_dyn.add_mutually_exclusive_group(required=True)
+    source.add_argument("--preset", choices=list(PRESET_NAMES))
+    source.add_argument("--gamma", action="append",
+                        help="rate expression for the next alpha (repeat d+1 times)")
     p_dyn.add_argument("--d", type=int, help="dimension (required for --gamma and most presets)")
     p_dyn.add_argument("--c", help="comma list of constants for the semigroup preset")
-    p_dyn.add_argument("--gamma", action="append", default=[],
-                       help="rate expression for the next alpha (repeat d+1 times)")
     p_dyn.add_argument("--t-max", type=float, default=5.0)
     p_dyn.add_argument("--steps", type=int, default=400)
     p_dyn.add_argument("--seed", type=int, default=42)

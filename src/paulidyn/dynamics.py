@@ -607,16 +607,11 @@ def find_p_divisibility_witness(traj: Trajectory, family: MubFamily,
         u = family.unitaries[a]
         x = u + u.conj().T
         nus = intermediate_map(traj, i, j).nus
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                grown = trace_norm(spectral_apply(family, nus, x)) / trace_norm(x) - 1.0
-        except InvalidInputError:  # Phi(x) has an entry beyond the double range
-            grown = math.inf
-        if not math.isfinite(grown):
-            # a finite ratio near the double range overflows Phi(x) or its trace norm; on
-            # x / 2^k with 2^k > 2d >= ||x||_1 neither can, and x / 2^k is exact, same ratio
-            small = x / 2.0 ** (2 * d).bit_length()
-            grown = trace_norm(spectral_apply(family, nus, small)) / trace_norm(small) - 1.0
+        # Phi(x) or its trace norm overflows for a finite ratio near the double range; with
+        # 2^k > 2d >= ||x||_1 neither does on the exact x / 2^k, and as axis a has the largest
+        # ratio at (i, j), no other axis sets off LAPACK's rescaling: the bits are x's if finite
+        small = x / 2.0 ** (2 * d).bit_length()
+        grown = trace_norm(spectral_apply(family, nus, small)) / trace_norm(small) - 1.0
         if abs(grown - (ratio - 1.0)) > 1e-6 * max(1.0, ratio):
             raise InternalConsistencyError(
                 f"axis witness mismatch: spectral ratio {ratio - 1.0:.6e} vs direct {grown:.6e}"
@@ -767,7 +762,7 @@ def check_blp(traj: Trajectory, family: MubFamily, pairs=20, seed: int = 42) -> 
     d = traj.dim
     if family.dim != d:
         raise DimensionError(f"family is d={family.dim}, trajectory is d={d}")
-    if isinstance(pairs, int):
+    if isinstance(pairs, (int, np.integer)):
         if pairs < 0:
             raise InvalidInputError(f"BLP pair count must be >= 0, got {pairs}")
         # one antipodal pair per basis, then random mixed pairs (rho1, rho2 alternating)
@@ -890,8 +885,9 @@ def analyze(rates: RateSet, family: MubFamily | None = None, t_max: float = 5.0,
     # imported here: concurrent.futures loads logging (~9 ms), which mub and channel never need
     from concurrent.futures import ThreadPoolExecutor
 
-    if seed < 0:
-        raise InvalidInputError(f"seed must be >= 0, got {seed}")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise InvalidInputError(f"seed must be >= 0 and an integer, got {seed!r}")
+    seed = int(seed)
     if family is None:
         family = mub_family(rates.dim)
     traj = build_trajectory(rates, t_max=t_max, steps=steps, tol=tol)

@@ -441,8 +441,10 @@ def preset_rates(name: str, d: int | None = None, constants=None) -> RateSet:
       rates -(2/d) tanh t.
     - ``avg-decoherence``: d unit rates plus the negative companion rate
       -(d-1)(e^{dt}-1)/(e^{dt}+d-1) of the uniform d-semigroup mixture.
-    - ``semigroup``: the given constants c_1..c_{d+1}.
+    - ``semigroup``: the given constants c_1..c_{d+1}, the only preset that takes any.
     """
+    if constants is not None and name != "semigroup":
+        raise InvalidInputError(f"only the semigroup preset takes constants, not {name!r}")
     if name == "eternal-qubit":
         if d not in (None, 2):
             raise InvalidInputError("eternal-qubit is a d=2 preset; use eternal-general for d>2")

@@ -298,6 +298,20 @@ class TestDynamics:
         code, _, err = run(["dynamics", "--d", "2"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("argv,message", [
+        ("--preset avg-decoherence --d 3 --gamma=-5",
+         "argument --gamma: not allowed with argument --preset"),
+        ("--preset avg-decoherence --d 3 --c 1,2",
+         "error: only the semigroup preset takes constants, not 'avg-decoherence'"),
+        ("--d 2 --gamma 1 --gamma 1 --gamma -0.2 --c 5,5,5",
+         "error: --c takes the constants of --preset semigroup only"),
+    ], ids=["preset-and-gamma", "c-with-other-preset", "c-with-gamma"])
+    def test_rates_that_would_be_dropped_exit_2(self, argv, message, tmp_path, capsys):
+        code, _, err = run(["dynamics", *shlex.split(argv), "--out", str(tmp_path)], capsys)
+        assert code == 2
+        assert message in err
+        assert not (tmp_path / "report.json").exists()
+
     def test_underflowing_cp_divisible_semigroup(self, tmp_path, capsys, monkeypatch):
         # lambda underflows to 0 from t ~ 7.5 on; intermediate maps must stay finite
         monkeypatch.chdir(tmp_path)

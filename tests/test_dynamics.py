@@ -523,6 +523,30 @@ class TestWitnessSearch:
             grown = trace_norm(v(w.operator)) / trace_norm(w.operator)
             assert grown - 1.0 == pytest.approx(w.magnitude, rel=1e-6)
 
+    @pytest.mark.parametrize("d", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+    def test_axis_ratio_on_the_scaled_operator_keeps_its_bits(self, d):
+        # route 1 certifies on x / 2^k only; with nu_a the largest ratio, as _axis_scan
+        # guarantees, that ratio equals the one on x bit for bit wherever that is finite
+        family = mub_family(d)
+        rng = np.random.default_rng(d)
+        top = math.log(np.finfo(float).max)
+        for a, u in enumerate(family.unitaries):
+            x = u + u.conj().T
+            small = x / 2.0 ** (2 * d).bit_length()
+            for _ in range(8):
+                nus = np.exp(rng.uniform(0.0, top, d + 1))
+                k = int(np.argmax(nus))
+                nus[[a, k]] = nus[[k, a]]
+                try:
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        plain = trace_norm(spectral_apply(family, nus, x)) / trace_norm(x)
+                except InvalidInputError:  # Phi(x) has an entry beyond the double range
+                    continue
+                scaled = trace_norm(spectral_apply(family, nus, small)) / trace_norm(small)
+                assert math.isfinite(scaled)
+                if math.isfinite(plain):
+                    assert scaled == plain, (a, nus)
+
     def test_deterministic_given_seed(self, family3):
         traj = build_trajectory(preset_rates("avg-decoherence", d=3), t_max=4.0, steps=60)
         w1 = find_p_divisibility_witness(traj, family3, attempts=300, seed=11)
@@ -587,6 +611,15 @@ class TestBlp:
             check_blp(traj, family2, pairs=[pair])
         noisy = (family2.projector(1, 0) + 1e-12j * PAULI[1], family2.projector(1, 1))
         assert check_blp(traj, family2, pairs=[noisy]) is None
+
+    def test_numpy_integer_pair_count(self, family3):
+        traj = _tanh_trajectory(3, seed=3)
+        expected = check_blp(traj, family3, pairs=8).to_json_dict()
+        assert check_blp(traj, family3, pairs=np.int64(8)).to_json_dict() == expected
+        rates = _tanh_rates(3, seed=3)
+        reports = [analyze(rates, family3, steps=200, blp_pairs=pairs)[1].to_json_dict()
+                   for pairs in (8, np.int64(8))]
+        assert reports[0]["blp_witness"] == reports[1]["blp_witness"] == expected
 
     def test_tied_semigroup_rises_report_the_earliest(self, family3):
         # in a semigroup every step scales lambda_1 by the same factor, so the rises tie
@@ -773,6 +806,15 @@ class TestAnalyzeAndExports:
         traj = build_trajectory(rates, t_max=1.0, steps=20)
         with pytest.raises(InvalidInputError, match="pair count"):
             check_blp(traj, family2, pairs=-2)
+
+    def test_numpy_integer_seed(self, family2):
+        rates = preset_rates("eternal-qubit")
+        texts = [json.dumps(analyze(rates, family2, t_max=1.0, steps=20, seed=seed)[1]
+                            .to_json_dict()) for seed in (7, np.int64(7))]
+        assert texts[0] == texts[1]
+        for bad in (7.0, "7"):
+            with pytest.raises(InvalidInputError, match="seed must be >= 0 and an integer"):
+                analyze(rates, family2, t_max=1.0, steps=20, seed=bad)
 
 
 class _StageFailed(Exception):

@@ -490,6 +490,11 @@ class TestPresets:
         with pytest.raises(InvalidInputError):
             preset_rates("semigroup", d=3, constants=(1, 1, 1))
 
+    @pytest.mark.parametrize("name", ["eternal-qubit", "eternal-general", "avg-decoherence"])
+    def test_only_semigroup_takes_constants(self, name):
+        with pytest.raises(InvalidInputError, match="only the semigroup preset takes constants"):
+            preset_rates(name, d=2, constants=(1.0, 1.0, 1.0))
+
     @pytest.mark.parametrize("name", ["eternal-general", "avg-decoherence"])
     def test_numpy_integer_dimension(self, name):
         # the same dimension rule as mub_family, which accepts numpy integers

@@ -5,7 +5,9 @@ Runs the command in-process for every case of the ROADMAP preset matrix
 sets at d in {2, 3, 5, 7}; eternal-general and avg-decoherence at d in
 {11, 13}), avg-decoherence at d=31 (the widest trajectory.csv, with tied and
 constant columns), a few d=2 tanh rate sets, one d=3 and one d=5 tanh set
-whose BLP witness comes from a random state pair, the d=3 set on a 10^4-step grid
+whose BLP witness comes from a random state pair, eternal-general at d=3 and d=5
+with ``--attempts=0`` (route 1 alone) and with ``--refine-iters=0``, the d=5
+tanh set with ``--blp-pairs=0``, the d=3 tanh set on a 10^4-step grid
 (every CSV column distinct), 10^4-step eternal-general (d=3) and
 avg-decoherence (d=7) grids, one d=3 rate with a 0.02-wide dip (a
 non-positive intermediate map between two nearby grid times), one d=3 set
@@ -128,6 +130,12 @@ def cases():
         yield f"tanh{k}-d2", ["--d=2"] + tanh_argv(params)
     yield "tanh-random-pair-d3", ["--d=3"] + tanh_argv(TANH_RANDOM_PAIR_D3)
     yield "tanh-blp-d5", ["--d=5"] + tanh_argv(TANH_BLP_D5)
+    # zero budgets: route 1 alone, an unrefined see-saw, no BLP probe
+    for d in (3, 5):
+        for flag in ("attempts", "refine-iters"):
+            yield (f"eternal-general-d{d}-{flag}0",
+                   ["--preset=eternal-general", f"--d={d}", f"--{flag}=0"])
+    yield "tanh-blp-d5-blp-pairs0", ["--d=5", "--blp-pairs=0"] + tanh_argv(TANH_BLP_D5)
     yield "tanh-random-pair-d3-n10000", ["--d=3", "--steps=10000"] + tanh_argv(TANH_RANDOM_PAIR_D3)
     yield ("eternal-general-d3-t10-n10000",
            ["--preset=eternal-general", "--d=3", "--t-max=10", "--steps=10000"])
