@@ -44,6 +44,7 @@ from .dynamics import (
 from .errors import (
     DimensionError,
     EvaluationError,
+    GridResolutionError,
     InternalConsistencyError,
     InvalidInputError,
     NonHermitianError,

@@ -41,6 +41,7 @@ from .channel import GenPauliChannel, _freeze, channel_from_eigenvalues, cp_marg
 from .errors import (
     DimensionError,
     EvaluationError,
+    GridResolutionError,
     InternalConsistencyError,
     InvalidInputError,
     QuadratureError,
@@ -81,6 +82,20 @@ VIOLATED = "violated"
 NOT_APPLICABLE = "not-applicable"
 
 _MAX_VIOLATION_RECORDS = 20
+
+
+def _count(name: str, value, least: int = 0) -> int:
+    """The one rule for every count, seed and grid index taken here: ``value`` as a plain
+    int if it is a Python or NumPy integer >= ``least``, else :class:`InvalidInputError`."""
+    if isinstance(value, (int, np.integer)) and value >= least:
+        return int(value)
+    raise InvalidInputError(f"{name} must be >= {least} and an integer, got {value!r}")
+
+
+def _check_family(traj: Trajectory, family: MubFamily):
+    """A family of another dimension than the trajectory's raises :class:`DimensionError`."""
+    if family.dim != traj.dim:
+        raise DimensionError(f"family is d={family.dim}, trajectory is d={traj.dim}")
 
 
 # ---------------------------------------------------------------------------
@@ -127,8 +142,7 @@ def build_trajectory(rates: RateSet, t_max: float, steps: int = 400,
     """
     if not (math.isfinite(t_max) and t_max > 0):
         raise InvalidInputError(f"t_max must be positive and finite, got {t_max!r}")
-    if steps < 2:
-        raise InvalidInputError(f"steps must be >= 2, got {steps}")
+    steps = _count("steps", steps, least=2)
     d = rates.dim
     grid = np.linspace(0.0, float(t_max), steps + 1)
     gammas = np.empty((d + 1, steps + 1))
@@ -184,7 +198,8 @@ class IntermediateMap:
 def intermediate_map(traj: Trajectory, i: int, j: int) -> IntermediateMap:
     """The map from grid time i to grid time j.  A ratio beyond the double
     range (lambda underflowed and then recovered) raises :class:`EvaluationError`."""
-    if not 0 <= i <= j <= traj.steps:
+    i, j = _count("i", i), _count("j", j)
+    if not i <= j <= traj.steps:
         raise InvalidInputError(f"need 0 <= i <= j <= {traj.steps}, got ({i}, {j})")
     with np.errstate(over="ignore"):
         nus = np.exp(traj.log_lambdas[:, j] - traj.log_lambdas[:, i])
@@ -218,8 +233,7 @@ def generator_apply(rates: RateSet, family: MubFamily, t: float, rho) -> np.ndar
 def evolve_operator(traj: Trajectory, family: MubFamily, x) -> np.ndarray:
     """Apply the map at every grid time to one operator; returns (N+1, d, d)."""
     arr = as_square_matrix(x, family.dim)
-    if traj.dim != family.dim:
-        raise DimensionError(f"family is d={family.dim}, trajectory is d={traj.dim}")
+    _check_family(traj, family)
     return spectral_apply(family, traj.lambdas.T, arr)
 
 
@@ -424,19 +438,31 @@ def check_frobenius_monotone(traj: Trajectory, family: MubFamily | None = None,
     sign.  When a family is supplied, the norms of ``samples`` random Hermitian
     operators are also followed as a numerical cross-check, in closed form
     ||Phi_t(x)||_F^2 = d x0^2 + sum_a lambda_a(t)^2 ||B_a(x)||_F^2, with ||B_a||_F^2 a
-    class sum of |c|^2 / d; an increase while the analytic check holds is an internal error.
+    class sum of |c|^2 / d.  An increase while the analytic check holds raises
+    :class:`GridResolutionError` when some lambda_a rises by more than ``TOL_WITNESS_NORM``
+    over a grid step (the rates dip between grid times, where no sample sees it), and is
+    an internal error otherwise.
     """
+    samples, seed = _count("samples", samples), _count("seed", seed)
     verdict = _rate_verdict("frobenius_monotone", traj.grid, traj.gammas)
-    if family is None or samples <= 0:
+    if family is None or not samples:
         return verdict
-    if family.dim != traj.dim:
-        raise DimensionError(f"family is d={family.dim}, trajectory is d={traj.dim}")
+    _check_family(traj, family)
     xs = random_hermitian(traj.dim, np.random.default_rng(seed), samples)
     squares = class_sums(family, np.abs(weyl_coefficients(xs)) ** 2 / traj.dim)
     norms = np.sqrt(squares[:, :1] + squares[:, 1:] @ traj.lambdas ** 2)
     increases = np.diff(norms, axis=-1) / np.maximum(norms[:, :-1], 1e-300)
     worst_rel = max(0.0, float(increases.max()))
     if verdict.holds and worst_rel > TOL_WITNESS_NORM:
+        rises = np.diff(traj.log_lambdas, axis=1)
+        a, i = np.unravel_index(int(np.argmax(rises)), rises.shape)
+        rise = math.expm1(rises[a, i])
+        if rise > TOL_WITNESS_NORM:
+            raise GridResolutionError(
+                f"lambda_{a + 1} rises by {rise:.3e} over the grid step "
+                f"[{float(traj.grid[i])!r}, {float(traj.grid[i + 1])!r}], although the rates "
+                f"at the grid times meet every rate criterion: the grid does not resolve the "
+                f"rates; raise --steps")
         raise InternalConsistencyError(
             f"Frobenius norm grew ({worst_rel:.3e}) although the analytic check holds"
         )
@@ -594,11 +620,10 @@ def find_p_divisibility_witness(traj: Trajectory, family: MubFamily,
     of P-divisibility).
     """
     d = traj.dim
-    if family.dim != d:
-        raise DimensionError(f"family is d={family.dim}, trajectory is d={d}")
-    if attempts < 0 or refine_iters < 0:
-        raise InvalidInputError(
-            f"attempts and refine_iters must be >= 0, got {attempts} and {refine_iters}")
+    _check_family(traj, family)
+    budget = "attempts and refine_iters"
+    attempts, refine_iters = _count(budget, attempts), _count(budget, refine_iters)
+    seed = _count("seed", seed)
     witnesses = []
 
     # Route 1: closed-form scan for rising eigenvalue trajectories.
@@ -760,11 +785,10 @@ def check_blp(traj: Trajectory, family: MubFamily, pairs=20, seed: int = 42) -> 
     Distances come from :func:`_trace_distances`, as one (pairs, N+1) table.
     """
     d = traj.dim
-    if family.dim != d:
-        raise DimensionError(f"family is d={family.dim}, trajectory is d={d}")
-    if isinstance(pairs, (int, np.integer)):
-        if pairs < 0:
-            raise InvalidInputError(f"BLP pair count must be >= 0, got {pairs}")
+    _check_family(traj, family)
+    seed = _count("seed", seed)
+    if np.isscalar(pairs):
+        pairs = _count("BLP pair count", pairs)
         # one antipodal pair per basis, then random mixed pairs (rho1, rho2 alternating)
         b = family.bases[:pairs, :2]  # vectors 0 and 1 of the first bases
         projs = b[..., :, None] * b[..., None, :].conj()
@@ -885,9 +909,7 @@ def analyze(rates: RateSet, family: MubFamily | None = None, t_max: float = 5.0,
     # imported here: concurrent.futures loads logging (~9 ms), which mub and channel never need
     from concurrent.futures import ThreadPoolExecutor
 
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise InvalidInputError(f"seed must be >= 0 and an integer, got {seed!r}")
-    seed = int(seed)
+    seed = _count("seed", seed)
     if family is None:
         family = mub_family(rates.dim)
     traj = build_trajectory(rates, t_max=t_max, steps=steps, tol=tol)

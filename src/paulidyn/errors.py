@@ -37,5 +37,10 @@ class QuadratureError(PaulidynError, ArithmeticError):
     """Adaptive quadrature failed to converge; message carries the offending interval."""
 
 
+class GridResolutionError(PaulidynError):
+    """The time grid does not resolve the rates: between two grid times the evolution does
+    what the rates at the grid times rule out.  More grid steps resolve it."""
+
+
 class InternalConsistencyError(PaulidynError):
     """Two results that must agree by construction disagree.  Always a bug."""

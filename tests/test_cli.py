@@ -234,6 +234,18 @@ class TestDynamics:
         assert code == 3
         assert err == "error: map eigenvalue lambda_3 overflows at t=9.0\n"
 
+    def test_dip_between_grid_times_exits_3(self, tmp_path, capsys):
+        # every grid sample of the rates meets every rate criterion, but gamma_4 falls to
+        # -29 at t = 0.004, inside the first grid step, so lambda_1 rises over that step
+        code, _, err = run(["dynamics", "--d", "3", "--gamma=1", "--gamma=1", "--gamma=1",
+                            "--gamma=1 - 30*exp(0-((t-0.004)/0.001)^2)", "--out", str(tmp_path)],
+                           capsys)
+        assert code == 3
+        assert err == ("error: lambda_1 rises by 1.580e-02 over the grid step [0.0, 0.0125], "
+                       "although the rates at the grid times meet every rate criterion: the "
+                       "grid does not resolve the rates; raise --steps\n")
+        assert not (tmp_path / "report.json").exists()
+
     @pytest.mark.parametrize("budget", [[], ["--attempts", "0"]])
     def test_overflowing_eigenvalue_ratio_exits_3(self, budget, tmp_path, capsys):
         # lambda_1 underflows to 0 near t = 2.5 and recovers: lambda_1(5)/lambda_1(2.5) > 1e308
@@ -445,8 +457,8 @@ class TestWriterMemory:
             assert sum(1 for _ in f) == 1 + 32 * 31 // 2 * 31**2
 
     def test_mub_d31_peaks_under_31_mib(self, tmp_path, capsys):
-        # 25.5 MiB with the overlaps in row blocks, plus 20 %; the five 476,656-row columns
-        # of unbiasedness_arrays (18 MiB) are the largest item, and whole files peak at 94 MiB
+        # 6.2 MiB with the overlaps one basis pair at a time; the bound is the 25.5 MiB of
+        # the earlier 476,656-row overlap columns plus 20 %, and whole files peak at 94 MiB
         code, held = _traced_growth(lambda: main(["mub", "--d", "31", "--out", str(tmp_path)]))
         assert code == 0, capsys.readouterr().err
         assert held < 30.6 * 2**20, f"{held / 2**20:.2f} MiB"

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import threading
 import time
 import tracemalloc
@@ -44,7 +45,8 @@ from paulidyn.dynamics import (
     trajectory_to_csv,
     weyl_rates_from_trajectory,
 )
-from paulidyn.errors import EvaluationError, InvalidInputError, QuadratureError
+from paulidyn.errors import (EvaluationError, GridResolutionError, InternalConsistencyError,
+                             InvalidInputError, QuadratureError)
 from paulidyn.linalg import random_density_matrix, random_hermitian, random_pure_state, trace_norm
 from paulidyn.mub import axis_blocks, dephase_all, mub_family, spectral_apply
 from paulidyn.ratefn import preset_rates, rate_set
@@ -815,6 +817,103 @@ class TestAnalyzeAndExports:
         for bad in (7.0, "7"):
             with pytest.raises(InvalidInputError, match="seed must be >= 0 and an integer"):
                 analyze(rates, family2, t_max=1.0, steps=20, seed=bad)
+
+
+def _json(result) -> str:
+    """A stage's result as JSON text: a report, a verdict, a witness (or None), a trajectory's
+    CSV or an intermediate map's ratios."""
+    if isinstance(result, tuple):
+        result = result[1]
+    if isinstance(result, Trajectory):
+        return trajectory_to_csv(result)
+    if hasattr(result, "nus"):
+        return json.dumps(result.nus.tolist())
+    return json.dumps(None if result is None else result.to_json_dict())
+
+
+# a positivity witness and a BLP witness on a random pair, both moved by the seed
+_D3_RATES = rate_set(3, ["-0.2 + -0.2*tanh(1.6*(t - 3.9))", "1.1 + 0.1*tanh(0.9*(t - 2.7))",
+                         "1.0 + 0.2*tanh(0.6*(t - 0.2))", "-0.2 + -0.9*tanh(1.9*(t - 3.7))"])
+_D3_TRAJ = build_trajectory(_D3_RATES, t_max=5.0, steps=40)
+_SEARCH_BUDGET = "attempts and refine_iters must be >= 0 and an integer"
+
+#: (id, call taking the count, a valid count, the prefix of the message for a bad one)
+_COUNTS = [
+    ("build_trajectory-steps", lambda fam, n: build_trajectory(_D3_RATES, 5.0, steps=n), 40,
+     "steps must be >= 2 and an integer"),
+    ("analyze-steps", lambda fam, n: analyze(_D3_RATES, fam, 5.0, steps=n), 40,
+     "steps must be >= 2 and an integer"),
+    ("analyze-seed", lambda fam, n: analyze(_D3_RATES, fam, 5.0, steps=40, seed=n), 7,
+     "seed must be >= 0 and an integer"),
+    ("analyze-witness_attempts",
+     lambda fam, n: analyze(_D3_RATES, fam, 5.0, steps=40, witness_attempts=n), 5,
+     _SEARCH_BUDGET),
+    ("analyze-refine_iters",
+     lambda fam, n: analyze(_D3_RATES, fam, 5.0, steps=40, refine_iters=n), 3, _SEARCH_BUDGET),
+    ("analyze-blp_pairs", lambda fam, n: analyze(_D3_RATES, fam, 5.0, steps=40, blp_pairs=n),
+     8, "BLP pair count must be >= 0 and an integer"),
+    ("witness-attempts", lambda fam, n: find_p_divisibility_witness(_D3_TRAJ, fam, attempts=n),
+     5, _SEARCH_BUDGET),
+    ("witness-refine_iters",
+     lambda fam, n: find_p_divisibility_witness(_D3_TRAJ, fam, refine_iters=n), 3,
+     _SEARCH_BUDGET),
+    ("witness-seed", lambda fam, n: find_p_divisibility_witness(_D3_TRAJ, fam, seed=n), 7,
+     "seed must be >= 0 and an integer"),
+    ("check_blp-pairs", lambda fam, n: check_blp(_D3_TRAJ, fam, pairs=n), 8,
+     "BLP pair count must be >= 0 and an integer"),
+    ("check_blp-seed", lambda fam, n: check_blp(_D3_TRAJ, fam, seed=n), 7,
+     "seed must be >= 0 and an integer"),
+    ("frobenius-samples", lambda fam, n: check_frobenius_monotone(_D3_TRAJ, fam, samples=n), 6,
+     "samples must be >= 0 and an integer"),
+    ("frobenius-seed", lambda fam, n: check_frobenius_monotone(_D3_TRAJ, fam, seed=n), 7,
+     "seed must be >= 0 and an integer"),
+    ("intermediate_map-i", lambda fam, n: intermediate_map(_D3_TRAJ, n, 30), 10,
+     "i must be >= 0 and an integer"),
+    ("intermediate_map-j", lambda fam, n: intermediate_map(_D3_TRAJ, 0, n), 30,
+     "j must be >= 0 and an integer"),
+]
+
+
+@pytest.mark.parametrize("call, valid, prefix", [c[1:] for c in _COUNTS],
+                         ids=[c[0] for c in _COUNTS])
+class TestCounts:
+    """Every count, seed and grid index is a Python or NumPy integer at or above its least
+    value; anything else is an InvalidInputError, never a TypeError from numpy."""
+
+    @pytest.mark.parametrize("bad", [5.0, -1], ids=["float", "negative"])
+    def test_rejects_a_float_and_a_negative_value(self, family3, call, valid, prefix, bad):
+        with pytest.raises(InvalidInputError, match="^" + re.escape(prefix)) as exc:
+            call(family3, bad)
+        assert repr(bad) in str(exc.value)
+
+    def test_numpy_integer_gives_the_same_json(self, family3, call, valid, prefix):
+        assert _json(call(family3, np.int64(valid))) == _json(call(family3, valid))
+
+
+class TestSubGridDip:
+    """A rate that dips below zero between two grid times, where no grid sample sees it."""
+
+    def test_rising_eigenvalue_is_a_grid_resolution_error(self, family3):
+        rates = rate_set(3, ["1", "1", "1", "1 - 30*exp(0-((t-0.004)/0.001)^2)"])
+        traj = build_trajectory(rates, t_max=5.0, steps=400)
+        assert check_cp_divisible(traj).holds
+        message = r"lambda_1 rises by 1\.580e-02 over the grid step \[0\.0, 0\.0125\]"
+        with pytest.raises(GridResolutionError, match=message) as exc:
+            check_frobenius_monotone(traj, family3)
+        assert "--steps" in str(exc.value)
+        with pytest.raises(GridResolutionError, match=message):
+            analyze(rates, family3)
+        _, report = analyze(rates, family3, steps=4000)
+        assert report.cp_divisible.status == report.frobenius_monotone.status == VIOLATED
+
+    def test_growth_without_a_rising_eigenvalue_is_an_internal_error(self, family2):
+        # lambdas that grow while their logarithms (from the rate integrals) do not
+        traj = build_trajectory(preset_rates("semigroup", constants=(1.0, 1.0, 1.0)),
+                                t_max=1.0, steps=20)
+        grown = Trajectory(traj.dim, traj.grid, traj.gammas, traj.big_gammas,
+                           traj.lambdas[:, ::-1])
+        with pytest.raises(InternalConsistencyError, match="Frobenius norm grew"):
+            check_frobenius_monotone(grown, family2)
 
 
 class _StageFailed(Exception):

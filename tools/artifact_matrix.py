@@ -4,23 +4,23 @@ Runs the command in-process for every case of the ROADMAP preset matrix
 (eternal-qubit; eternal-general, avg-decoherence and four semigroup constant
 sets at d in {2, 3, 5, 7}; eternal-general and avg-decoherence at d in
 {11, 13}), avg-decoherence at d=31 (the widest trajectory.csv, with tied and
-constant columns), a few d=2 tanh rate sets, one d=3 and one d=5 tanh set
-whose BLP witness comes from a random state pair, eternal-general at d=3 and d=5
-with ``--attempts=0`` (route 1 alone) and with ``--refine-iters=0``, the d=5
-tanh set with ``--blp-pairs=0``, the d=3 tanh set on a 10^4-step grid
-(every CSV column distinct), 10^4-step eternal-general (d=3) and
-avg-decoherence (d=7) grids, one d=3 rate with a 0.02-wide dip (a
-non-positive intermediate map between two nearby grid times), one d=3 set
-whose eigenvalue ratio overflows and one whose largest ratio is finite but
-within a factor of 4 of the double range, two semigroups whose rate integrals
-leave the double range, two semigroups with a rate just below zero
-(inside the inequality slack), one semigroup whose trajectory.csv holds
-exact 17-digit ties and values on both sides of the switch to exponent
-notation, three d=2 rate sets that fail to evaluate (ln of a nonpositive
-value at a grid time, division by zero, and the literal 1e999) and four
-that fail to parse (an unexpected character, an unclosed parenthesis, a
-wrong argument count and 1000 nested parentheses), each with seeds 42
-and 7, and prints one line per case::
+constant columns), a few d=2 tanh rate sets, one d=3 and one d=5 tanh set whose
+BLP witness comes from a random state pair, eternal-general at d=3 and d=5 with
+``--attempts=0`` (route 1 alone) and with ``--refine-iters=0``, the d=5 tanh
+set with ``--blp-pairs=0``, the d=3 tanh set on a 10^4-step grid (every CSV
+column distinct), 10^4-step eternal-general (d=3) and avg-decoherence (d=7)
+grids, one d=3 rate with a 0.02-wide dip (a non-positive intermediate map
+between two nearby grid times), one d=3 rate whose dip lies inside the first
+grid step (``deep-dip-d3``: a grid-resolution error, exit 3), one d=3 set whose
+eigenvalue ratio overflows and one whose largest ratio is finite but within a
+factor of 4 of the double range, two semigroups whose rate integrals leave the
+double range, two semigroups with a rate just below zero (inside the inequality
+slack), one semigroup whose trajectory.csv holds exact 17-digit ties and values
+on both sides of the switch to exponent notation, three d=2 rate sets that fail
+to evaluate (ln of a nonpositive value at a grid time, division by zero, and
+the literal 1e999) and four that fail to parse (an unexpected character, an
+unclosed parenthesis, a wrong argument count and 1000 nested parentheses), each
+with seeds 42 and 7, and prints one line per case::
 
     <case> <sha256 of report.json> <sha256 of trajectory.csv>
 
@@ -145,6 +145,10 @@ def cases():
     # not positive between t = 2.05 and 2.075 only
     yield ("short-window-d3",
            ["--d=3"] + ["--gamma=1"] * 3 + ["--gamma=1 - 3*exp(0-((t-2.06)/0.02)^2)"])
+    # gamma_4 falls to -29 inside the first grid step, where no grid sample sees it, and
+    # lambda_1 rises over that step: a classified grid-resolution error
+    yield ("deep-dip-d3",
+           ["--d=3"] + ["--gamma=1"] * 3 + ["--gamma=1 - 30*exp(0-((t-0.004)/0.001)^2)"])
     # lambda_1 underflows to 0 and recovers: lambda_1(5)/lambda_1(2.5) exceeds the double range
     yield "overflow-ratio-d3", ["--d=3"] + ["--gamma=200*tanh(3*(2.5-t))"] * 3 + ["--gamma=1"]
     # the largest eigenvalue ratio, 5.47e307, is finite; the axis operator's trace norm is not
