@@ -237,9 +237,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="seeded start pairs for the witness see-saw (0: axis scan only)")
     p_dyn.add_argument("--refine-iters", type=int, default=50,
                        help="cap on see-saw steps per round and on pair-step rounds")
-    p_dyn.add_argument("--blp-pairs", type=int, default=20,
+    p_dyn.add_argument("--blp-pairs", type=int, default=None,
                        help="state pairs for the BLP trace-distance probe: one antipodal "
-                            "pair per basis, then seeded random mixed pairs")
+                            "pair per basis, then seeded random mixed pairs (default: the "
+                            "antipodal pairs of all d+1 bases, read off lambda)")
     p_dyn.add_argument("--out", default=".", help="output directory")
     p_dyn.set_defaults(func=cmd_dynamics)
 

@@ -20,8 +20,8 @@ Checks implemented on a common time grid:
   d-subsets),
 - a sampled Frobenius-norm cross-check,
 - a seeded falsifier searching for intermediate maps that break positivity or
-  increase a trace norm, and a sampled trace-distance (information back-flow)
-  probe.
+  increase a trace norm, and a trace-distance (information back-flow) probe on
+  the antipodal state pair of every basis axis.
 
 Verdicts carry signed margins; witness objects carry the concrete state or
 operator achieving the violation.  ``_IMPLIED`` lists the implications between
@@ -30,9 +30,7 @@ the verdicts that every report is checked against.
 
 from __future__ import annotations
 
-import contextvars
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -64,7 +62,7 @@ TOL_WITNESS_NORM = 1e-9
 #: rounding residue of axis_blocks and counts as zero
 BLP_ROUNDING_FLOOR = 64
 #: the largest d whose BLP trace distances have a closed form (at most three nonzero
-#: eigenvalues); above it they go through eigvalsh, and analyze runs the probe on a thread
+#: eigenvalues); above it the distances of pairs on several axes go through eigvalsh
 CLOSED_FORM_MAX_DIM = 3
 #: the witness search pairs at most this many grid times with each other
 SCREEN_GRID = 401
@@ -772,28 +770,38 @@ def _cubic_distances(log_lam: np.ndarray, blocks: np.ndarray, norms: np.ndarray)
     return dists
 
 
-def check_blp(traj: Trajectory, family: MubFamily, pairs=20, seed: int = 42) -> Witness | None:
+def check_blp(traj: Trajectory, family: MubFamily, pairs=None,
+              seed: int = 42) -> Witness | None:
     """Probe the trace distance of evolved state pairs for back-flow.
 
-    ``pairs`` is either a count of sampled density-matrix pairs or an explicit
-    list of (rho1, rho2) tuples of d x d operators of equal trace.  Returns
-    the largest relative increase found between consecutive grid times, or
-    None; among rises within ``TIE_ULPS`` ulps of the largest, the earliest
-    pair, then the earliest step, is reported.  A rise counts only when it exceeds
-    ``BLP_ROUNDING_FLOOR`` ulps of d times the initial distance, so a
-    distance that has decayed into rounding noise cannot fake back-flow.
-    Distances come from :func:`_trace_distances`, as one (pairs, N+1) table.
+    By default (``pairs=None``) the pairs are the antipodal pairs (P_a0, P_a1)
+    of all d+1 bases, whose trace distance is exactly 2 lambda_a(t): back-flow
+    on axis a is lambda_a rising, read off the trajectory with no operator
+    evolved.  ``pairs`` may instead be a count (the antipodal pairs of the first
+    that many bases, then seeded random density-matrix pairs) or an explicit
+    list of (rho1, rho2) tuples of d x d operators of equal trace; their
+    distances come from :func:`_trace_distances`, as one (pairs, N+1) table.
+    Returns the largest relative increase found between consecutive grid
+    times, or None; among rises within ``TIE_ULPS`` ulps of the largest, the
+    earliest pair, then the earliest step, is reported.  A rise counts only
+    when it exceeds ``BLP_ROUNDING_FLOOR`` ulps of d times the initial
+    distance, so a distance that has decayed into rounding noise cannot fake
+    back-flow.
     """
     d = traj.dim
     _check_family(traj, family)
     seed = _count("seed", seed)
-    if np.isscalar(pairs):
-        pairs = _count("BLP pair count", pairs)
+    if isinstance(pairs, np.ndarray) and pairs.ndim == 0:
+        pairs = pairs[()]  # a 0-d array is its one value
+    if pairs is None or np.isscalar(pairs):
+        count = d + 1 if pairs is None else _count("BLP pair count", pairs)
         # one antipodal pair per basis, then random mixed pairs (rho1, rho2 alternating)
-        b = family.bases[:pairs, :2]  # vectors 0 and 1 of the first bases
+        b = family.bases[:count, :2]  # vectors 0 and 1 of the first bases
         projs = b[..., :, None] * b[..., None, :].conj()
-        rhos = random_density_matrix(d, np.random.default_rng(seed), 2 * (pairs - len(b)))
-        deltas = np.concatenate((projs[:, 0] - projs[:, 1], rhos[0::2] - rhos[1::2]))
+        deltas = projs[:, 0] - projs[:, 1]
+        if count > len(b):
+            rhos = random_density_matrix(d, np.random.default_rng(seed), 2 * (count - len(b)))
+            deltas = np.concatenate((deltas, rhos[0::2] - rhos[1::2]))
     else:
         states = [(as_square_matrix(rho1, d), as_square_matrix(rho2, d)) for rho1, rho2 in pairs]
         if not all(hermitian_check(rho).is_hermitian for pair in states for rho in pair):
@@ -801,7 +809,7 @@ def check_blp(traj: Trajectory, family: MubFamily, pairs=20, seed: int = 42) -> 
         deltas = np.array([rho1 - rho2 for rho1, rho2 in states], dtype=complex).reshape(-1, d, d)
         if np.any(np.abs(np.trace(deltas, axis1=1, axis2=2)) > TOL_CONDITION):
             raise InvalidInputError("the two states of a BLP pair must have equal traces")
-    dists = _trace_distances(traj, family, deltas)
+    dists = 2.0 * traj.lambdas if pairs is None else _trace_distances(traj, family, deltas)
     rel = np.diff(dists, axis=1)
     above = rel > BLP_ROUNDING_FLOOR * np.finfo(float).eps * d * dists[:, :1]
     # in place: the table is not read again
@@ -892,46 +900,27 @@ def _enforce_hierarchy(report: DivisibilityReport):
 def analyze(rates: RateSet, family: MubFamily | None = None, t_max: float = 5.0,
             steps: int = 400, seed: int = 42, tol: float = 1e-10,
             witness_attempts: int = 64, refine_iters: int = 50,
-            blp_pairs: int = 20) -> tuple:
-    """Build the trajectory and run every analyzer; returns (trajectory, report).
-
-    Above ``CLOSED_FORM_MAX_DIM`` the BLP probe is mostly ``eigvalsh`` stacks,
-    which release the interpreter lock, so it runs on a worker thread beside
-    the other stages: on two cores the large-d bench (d = 11, 13) went from 9.4
-    to 13.3 analyses/s.  At d <= 3 its closed forms are many small numpy calls
-    that hold the lock (threading them raised the qubit-screen median from 2.55
-    to 3.50 ms, and an empty executor cost it about 3 %), so there it runs
-    inline.  The probe has its own seeded generator, reads only frozen inputs
-    and runs in a copy of this thread's context (numpy's error state), so the
-    report does not depend on the threads; its error is taken after the other
-    stages', which win as in sequence.  A multithreaded BLAS serves two callers.
+            blp_pairs: int | None = None) -> tuple:
+    """Build the trajectory and run every analyzer on the calling thread, in report
+    order; returns (trajectory, report).  ``blp_pairs`` is :func:`check_blp`'s
+    ``pairs``: by default back-flow is read off lambda on every axis.
     """
-    # imported here: concurrent.futures loads logging (~9 ms), which mub and channel never need
-    from concurrent.futures import ThreadPoolExecutor
-
     seed = _count("seed", seed)
     if family is None:
         family = mub_family(rates.dim)
     traj = build_trajectory(rates, t_max=t_max, steps=steps, tol=tol)
-    threaded = traj.dim > CLOSED_FORM_MAX_DIM
-    with ThreadPoolExecutor(max_workers=1) if threaded else nullcontext() as pool:
-        blp = pool.submit(contextvars.copy_context().run, check_blp, traj, family,
-                          pairs=blp_pairs, seed=seed) if threaded else None
-        stages = dict(
-            cp_map_valid=check_cptp_trajectory(traj),
-            cp_divisible=check_cp_divisible(traj),
-            p_necessary=check_p_necessary(traj),
-            p_sufficient=check_p_sufficient(traj),
-            weyl_sufficient=_rate_verdict("weyl_sufficient", traj.grid, traj.gammas),
-            frobenius_monotone=check_frobenius_monotone(traj, family, seed=seed),
-            trace_norm_witness=find_p_divisibility_witness(
-                traj, family, attempts=witness_attempts, refine_iters=refine_iters, seed=seed
-            ),
-        )
     report = DivisibilityReport(
-        dim=traj.dim, t_max=float(t_max), steps=traj.steps, seed=seed, **stages,
-        blp_witness=check_blp(traj, family, pairs=blp_pairs, seed=seed) if blp is None
-        else blp.result(),
+        dim=traj.dim, t_max=float(t_max), steps=traj.steps, seed=seed,
+        cp_map_valid=check_cptp_trajectory(traj),
+        cp_divisible=check_cp_divisible(traj),
+        p_necessary=check_p_necessary(traj),
+        p_sufficient=check_p_sufficient(traj),
+        weyl_sufficient=_rate_verdict("weyl_sufficient", traj.grid, traj.gammas),
+        frobenius_monotone=check_frobenius_monotone(traj, family, seed=seed),
+        trace_norm_witness=find_p_divisibility_witness(
+            traj, family, attempts=witness_attempts, refine_iters=refine_iters, seed=seed
+        ),
+        blp_witness=check_blp(traj, family, pairs=blp_pairs, seed=seed),
     )
     _enforce_hierarchy(report)
     return traj, report

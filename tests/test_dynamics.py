@@ -2,7 +2,6 @@ import json
 import math
 import re
 import threading
-import time
 import tracemalloc
 
 import mpmath
@@ -16,7 +15,6 @@ import paulidyn.dynamics as dynamics
 from paulidyn.channel import choi_matrix, cp_margins
 from paulidyn.dynamics import (
     BLP_ROUNDING_FLOOR,
-    CLOSED_FORM_MAX_DIM,
     NOT_APPLICABLE,
     SCREEN_GRID,
     VIOLATED,
@@ -623,6 +621,39 @@ class TestBlp:
                    for pairs in (8, np.int64(8))]
         assert reports[0]["blp_witness"] == reports[1]["blp_witness"] == expected
 
+    def test_zero_dim_array_pair_count(self, family3):
+        traj = _tanh_trajectory(3, seed=3)
+        expected = check_blp(traj, family3, pairs=8).to_json_dict()
+        assert check_blp(traj, family3, pairs=np.array(8)).to_json_dict() == expected
+        for bad in (np.array(8.0), np.array(-1)):
+            with pytest.raises(InvalidInputError, match="BLP pair count must be >= 0"):
+                check_blp(traj, family3, pairs=bad)
+
+    def test_default_covers_every_axis(self):
+        # lambda_24 alone rises; a probe of the first 20 bases sees no back-flow
+        rates = preset_rates("semigroup", d=23, constants=[-1.0] + [0.0] * 22 + [10.0])
+        traj = build_trajectory(rates, t_max=1.0, steps=50)
+        family = mub_family(23)
+        assert check_blp(traj, family, pairs=20) is None
+        w = check_blp(traj, family)
+        assert (w.s, w.t) == (0.0, 0.02)
+        assert w.magnitude == pytest.approx(math.expm1(0.02), rel=1e-12)
+        p0, p1 = family.projector(24, 0), family.projector(24, 1)
+        assert np.allclose(w.operator, p0 - p1, atol=1e-12)
+
+    @given(d=st.sampled_from([2, 3, 5, 7, 13]), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_default_equals_the_antipodal_pairs(self, d, seed):
+        # D = 2 lambda_a for (P_a0, P_a1): the read-off equals the evaluated distances
+        family = mub_family(d)
+        traj = _tanh_trajectory(d, seed=seed, steps=120)
+        w, ref = check_blp(traj, family), check_blp(traj, family, pairs=d + 1)
+        assert (w is None) == (ref is None)
+        if w is not None:
+            assert (w.s, w.t) == (ref.s, ref.t)
+            assert np.array_equal(w.operator, ref.operator)
+            assert abs(w.magnitude - ref.magnitude) <= 4 * np.finfo(float).eps * (1 + w.magnitude)
+
     def test_tied_semigroup_rises_report_the_earliest(self, family3):
         # in a semigroup every step scales lambda_1 by the same factor, so the rises tie
         rates = preset_rates("semigroup", constants=(2.0, -0.05, -0.05, -0.05))
@@ -929,7 +960,7 @@ def _tanh_rates(d: int, seed: int):
 
 
 class TestConcurrentAnalyze:
-    """Above CLOSED_FORM_MAX_DIM, analyze runs check_blp on a second thread."""
+    """analyze runs every stage on the calling thread, the BLP probe last."""
 
     @pytest.mark.parametrize("d", [5, 7, 11])
     def test_report_equals_the_checks_in_sequence(self, d):
@@ -976,42 +1007,40 @@ class TestConcurrentAnalyze:
             analyze(preset_rates("avg-decoherence", d=5), steps=100)
         assert threading.active_count() == threads
 
-    @pytest.mark.parametrize("probe_first", [True, False])
-    def test_witness_search_error_wins(self, probe_first, monkeypatch):
-        probe_done = threading.Event()
+    @pytest.mark.parametrize("probe_fails", [True, False])
+    def test_witness_search_error_wins(self, probe_fails, monkeypatch):
+        # the search fails before the probe runs, whether the probe would fail or not
+        probe_calls = []
 
-        def probe_fails(*args, **kwargs):
-            try:
-                if not probe_first:  # still running when the search fails: analyze joins it
-                    time.sleep(0.2)
+        def probe(*args, **kwargs):
+            probe_calls.append(args)
+            if probe_fails:
                 raise _StageFailed("BLP probe failed")
-            finally:
-                probe_done.set()
 
         def search_fails(*args, **kwargs):
-            if probe_first:
-                assert probe_done.wait(timeout=10)
             raise _StageFailed("witness search failed")
 
-        monkeypatch.setattr(dynamics, "check_blp", probe_fails)
+        monkeypatch.setattr(dynamics, "check_blp", probe)
         monkeypatch.setattr(dynamics, "find_p_divisibility_witness", search_fails)
         threads = threading.active_count()
         with pytest.raises(_StageFailed, match="witness search failed"):
             analyze(preset_rates("avg-decoherence", d=5), steps=100)
         assert threading.active_count() == threads
-        assert probe_done.is_set()
+        assert probe_calls == []
 
     @pytest.mark.parametrize("d", [2, 3, 5, 7])
     def test_probe_thread_and_numpy_error_state(self, d, monkeypatch):
         caller, seen = threading.current_thread(), []
 
         def record(*args, **kwargs):
-            seen.append((np.geterr()["over"], threading.current_thread() is caller))
+            seen.append((np.geterr()["over"], threading.current_thread() is caller,
+                         threading.active_count()))
 
         monkeypatch.setattr(dynamics, "check_blp", record)
+        threads = threading.active_count()
         with np.errstate(over="raise"):
             analyze(preset_rates("avg-decoherence", d=d), steps=100)
-        assert seen == [("raise", d <= CLOSED_FORM_MAX_DIM)]
+        assert seen == [("raise", True, threads)]
 
 
 @given(

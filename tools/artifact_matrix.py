@@ -4,10 +4,13 @@ Runs the command in-process for every case of the ROADMAP preset matrix
 (eternal-qubit; eternal-general, avg-decoherence and four semigroup constant
 sets at d in {2, 3, 5, 7}; eternal-general and avg-decoherence at d in
 {11, 13}), avg-decoherence at d=31 (the widest trajectory.csv, with tied and
-constant columns), a few d=2 tanh rate sets, one d=3 and one d=5 tanh set whose
-BLP witness comes from a random state pair, eternal-general at d=3 and d=5 with
-``--attempts=0`` (route 1 alone) and with ``--refine-iters=0``, the d=5 tanh
-set with ``--blp-pairs=0``, the d=3 tanh set on a 10^4-step grid (every CSV
+constant columns), a few d=2 tanh rate sets, one d=3 and one d=5 tanh set with
+a BLP witness, each also with ``--blp-pairs=20`` (the antipodal pairs, then
+random state pairs; at d=3 the witness comes from a random pair), eternal-general
+at d=3 and d=5 with ``--attempts=0`` (route 1 alone) and with
+``--refine-iters=0``, the d=5 tanh set with ``--blp-pairs=0``, a d=23 semigroup whose only rising eigenvalue is
+lambda_24 (``semigroup-axis24-d23``: a BLP witness on the last axis, which a probe
+of the first 20 bases misses), the d=3 tanh set on a 10^4-step grid (every CSV
 column distinct), 10^4-step eternal-general (d=3) and avg-decoherence (d=7)
 grids, one d=3 rate with a 0.02-wide dip (a non-positive intermediate map
 between two nearby grid times), one d=3 rate whose dip lies inside the first
@@ -86,12 +89,12 @@ TANH_SETS = (
     ((0.2, 0.1, 0.4, 0.0), (0.9, -1.0, 1.1, 2.2), (-0.2, 0.6, 0.6, 1.2)),
 )
 
-# a legitimate d=3 map whose largest BLP rise, for seeds 42 and 7, is on a random pair
+# a legitimate d=3 map whose largest BLP rise with --blp-pairs=20, for seeds 42 and 7,
+# is on a random pair
 TANH_RANDOM_PAIR_D3 = ((-0.2, -0.2, 1.6, 3.9), (1.1, 0.1, 0.9, 2.7), (1.0, 0.2, 0.6, 0.2),
                        (-0.2, -0.9, 1.9, 3.7))
 
-# a d=5 set whose BLP witness, for seeds 42 and 7, is on a random pair: 14 pairs go
-# through eigvalsh
+# a d=5 set with a BLP witness; with --blp-pairs=20 its 14 random pairs go through eigvalsh
 TANH_BLP_D5 = ((-0.2682, -0.9702, 1.1009, 2.913), (1.0535, 0.2511, 1.8591, 3.4588),
                (-0.2073, 0.7323, 1.5423, 1.1115), (0.8347, 0.7304, 0.809, 2.1082),
                (-0.4713, 0.1665, 0.7044, 3.0599), (-0.2875, -0.3745, 0.3246, 0.1302))
@@ -130,12 +133,20 @@ def cases():
         yield f"tanh{k}-d2", ["--d=2"] + tanh_argv(params)
     yield "tanh-random-pair-d3", ["--d=3"] + tanh_argv(TANH_RANDOM_PAIR_D3)
     yield "tanh-blp-d5", ["--d=5"] + tanh_argv(TANH_BLP_D5)
+    # the opt-in count: the antipodal pairs of the first 20 bases, then random pairs
+    yield ("tanh-random-pair-d3-blp-pairs20",
+           ["--d=3", "--blp-pairs=20"] + tanh_argv(TANH_RANDOM_PAIR_D3))
+    yield "tanh-blp-d5-blp-pairs20", ["--d=5", "--blp-pairs=20"] + tanh_argv(TANH_BLP_D5)
     # zero budgets: route 1 alone, an unrefined see-saw, no BLP probe
     for d in (3, 5):
         for flag in ("attempts", "refine-iters"):
             yield (f"eternal-general-d{d}-{flag}0",
                    ["--preset=eternal-general", f"--d={d}", f"--{flag}=0"])
     yield "tanh-blp-d5-blp-pairs0", ["--d=5", "--blp-pairs=0"] + tanh_argv(TANH_BLP_D5)
+    # lambda_24 alone rises: its back-flow lies on the last of the 24 axes
+    yield ("semigroup-axis24-d23",
+           ["--preset=semigroup", "--c=" + ",".join(["-1"] + ["0"] * 22 + ["10"]),
+            "--t-max=1", "--steps=50"])
     yield "tanh-random-pair-d3-n10000", ["--d=3", "--steps=10000"] + tanh_argv(TANH_RANDOM_PAIR_D3)
     yield ("eternal-general-d3-t10-n10000",
            ["--preset=eternal-general", "--d=3", "--t-max=10", "--steps=10000"])
