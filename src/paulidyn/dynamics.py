@@ -84,8 +84,9 @@ _MAX_VIOLATION_RECORDS = 20
 
 def _count(name: str, value, least: int = 0) -> int:
     """The one rule for every count, seed and grid index taken here: ``value`` as a plain
-    int if it is a Python or NumPy integer >= ``least``, else :class:`InvalidInputError`."""
-    if isinstance(value, (int, np.integer)) and value >= least:
+    int if it is a Python or NumPy integer >= ``least``, else :class:`InvalidInputError`.
+    A bool is a flag, not a count, though ``bool`` subclasses ``int``."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= least:
         return int(value)
     raise InvalidInputError(f"{name} must be >= {least} and an integer, got {value!r}")
 
@@ -521,6 +522,18 @@ def _axis_scan(traj: Trajectory):
         return float(np.exp(log_ratios[a, rel_j])), int(a), i, int(j)
 
 
+def _steps_positive(traj: Trajectory) -> bool:
+    """Whether every grid step's map exp(sum_a dG_a (D_a - id)) is certified positive.
+
+    A step is positive if sum_a dG_a Q_a(psi, phi) >= 0 for all orthonormal psi, phi
+    (Kossakowski).  The d+1 MUBs form a 2-design, so sum_a Q_a = 1 and 0 <= Q_a <= 1/2:
+    the two smallest increments summing to >= 0 suffice.  Positive maps compose, so
+    then every grid intermediate map is positive.
+    """
+    low = np.partition(np.diff(traj.big_gammas, axis=1), 1, axis=0)[:2]
+    return bool(np.all(low[0] + low[1] >= 0.0))
+
+
 def _screen_pairs(log_lam: np.ndarray) -> tuple:
     """Grid index pairs (i < j), in (i, j) order, whose intermediate map is not CP.
 
@@ -613,6 +626,8 @@ def find_p_divisibility_witness(traj: Trajectory, family: MubFamily,
       SEESAW_CHAINS best chains take batched see-saw steps, then move to the
       pair where their states do best, until none moves.  ``refine_iters``
       caps the steps per round and the rounds; ``attempts = 0`` skips route 2.
+      So does a trajectory whose every grid step ``_steps_positive`` certifies:
+      then every grid map is positive, and route 2 could only find nothing.
 
     Returns the largest-magnitude witness, or None (inconclusive, not a proof
     of P-divisibility).
@@ -647,9 +662,11 @@ def find_p_divisibility_witness(traj: Trajectory, family: MubFamily,
             ))
 
     # Route 2: see-saw for a pure state that a non-CP intermediate map sends below zero.
-    # A qubit Pauli map with nu > 0 is positive iff max nu <= 1, which route 1 decides.
+    # A qubit Pauli map with nu > 0 is positive iff max nu <= 1, which route 1 decides;
+    # if every grid step is certified positive, so is every grid map.
     log_lam = np.ascontiguousarray(traj.log_lambdas.T)
-    pair_i, pair_j = _screen_pairs(log_lam) if d > 2 and attempts else ((), ())
+    search = d > 2 and attempts and not _steps_positive(traj)
+    pair_i, pair_j = _screen_pairs(log_lam) if search else ((), ())
     if len(pair_i):
         psi, phi = np.split(random_pure_state(d, np.random.default_rng(seed), 2 * attempts), 2)
         phi = phi - (psi.conj() * phi).sum(axis=1, keepdims=True) * psi
@@ -803,6 +820,10 @@ def check_blp(traj: Trajectory, family: MubFamily, pairs=None,
             rhos = random_density_matrix(d, np.random.default_rng(seed), 2 * (count - len(b)))
             deltas = np.concatenate((deltas, rhos[0::2] - rhos[1::2]))
     else:
+        try:
+            pairs = [(rho1, rho2) for rho1, rho2 in pairs]
+        except (TypeError, ValueError):
+            raise InvalidInputError(f"each BLP pair must be two {d} x {d} states") from None
         states = [(as_square_matrix(rho1, d), as_square_matrix(rho2, d)) for rho1, rho2 in pairs]
         if not all(hermitian_check(rho).is_hermitian for pair in states for rho in pair):
             raise InvalidInputError("the states of a BLP pair must be Hermitian")

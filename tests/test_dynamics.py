@@ -3,6 +3,7 @@ import math
 import re
 import threading
 import tracemalloc
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -612,6 +613,15 @@ class TestBlp:
         noisy = (family2.projector(1, 0) + 1e-12j * PAULI[1], family2.projector(1, 1))
         assert check_blp(traj, family2, pairs=[noisy]) is None
 
+    @pytest.mark.parametrize("make", [lambda p0, p1: [1, 2], lambda p0, p1: np.array([8]),
+                                      lambda p0, p1: [p0 - p1], lambda p0, p1: [(p0, p1, p1)]],
+                             ids=["ints", "int-array", "one-matrix", "triple"])
+    def test_explicit_pairs_that_are_not_pairs_rejected(self, family3, make):
+        traj = build_trajectory(preset_rates("avg-decoherence", d=3), t_max=2.0, steps=40)
+        bad = make(family3.projector(1, 0), family3.projector(1, 1))
+        with pytest.raises(InvalidInputError, match="each BLP pair must be two 3 x 3 states"):
+            check_blp(traj, family3, pairs=bad)
+
     def test_numpy_integer_pair_count(self, family3):
         traj = _tanh_trajectory(3, seed=3)
         expected = check_blp(traj, family3, pairs=8).to_json_dict()
@@ -919,6 +929,13 @@ class TestCounts:
 
     def test_numpy_integer_gives_the_same_json(self, family3, call, valid, prefix):
         assert _json(call(family3, np.int64(valid))) == _json(call(family3, valid))
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_rejects_a_bool(self, family3, call, valid, prefix, flag):
+        # bool subclasses int, but a flag passed for a count is a mistake
+        with pytest.raises(InvalidInputError, match="^" + re.escape(prefix)) as exc:
+            call(family3, flag)
+        assert repr(flag) in str(exc.value)
 
 
 class TestSubGridDip:
@@ -1334,6 +1351,93 @@ def test_qubit_witness_iff_a_pair_sum_is_negative(params):
     assert (report.trace_norm_witness is not None) == (pair_min < 0)
     if pair_min > 0:
         assert report.blp_witness is None
+
+
+class TestCertifiedSteps:
+    """Route 2 of the witness search does not run when ``_steps_positive`` certifies every
+    grid step: every grid map is then positive, and route 2 could only find nothing."""
+
+    #: a d=7 semigroup with one negative rate whose steps the pair-sum bound certifies
+    RATES = preset_rates("semigroup", constants=(0.9, 0.7, 1.3, 0.55, 1.8, 0.61, 1.2, -0.3))
+
+    @pytest.mark.parametrize("d", [3, 5, 7])
+    def test_overlaps_sum_to_one_and_stay_at_most_one_half(self, d):
+        # the d+1 MUBs form a 2-design, so sum_a Q_a = 1 + |<psi|phi>|^2 = 1; <psi|phi> = 0
+        # gives p_l + q_l <= 1 per outcome l, so Q_a = sum_l p_l q_l <= 1/2
+        rng = np.random.default_rng(d)
+        psi, phi = random_pure_state(d, rng, 500), random_pure_state(d, rng, 500)
+        phi = phi - (psi.conj() * phi).sum(axis=1, keepdims=True) * psi
+        phi /= np.linalg.norm(phi, axis=1, keepdims=True)
+        family = mub_family(d)
+        big_q = _overlap_form(family, psi, phi) + 1.0 / d
+        tol = 64 * np.finfo(float).eps
+        assert np.abs(big_q.sum(axis=1) - 1.0).max() <= tol
+        assert big_q.min() >= -tol and big_q.max() <= 0.5 + tol
+        # (e_0 +- e_1)/sqrt(2) reach 1/2 in the computational basis
+        e = np.eye(d)[:2]
+        edge = _overlap_form(family, ((e[0] + e[1]) / math.sqrt(2))[None],
+                             ((e[0] - e[1]) / math.sqrt(2))[None])[0] + 1.0 / d
+        assert edge[0] == pytest.approx(0.5, abs=tol)
+
+    def test_route_2_does_not_run(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise _StageFailed("route 2 ran")
+
+        family = mub_family(7)
+        traj = build_trajectory(self.RATES, t_max=5.0, steps=400)
+        assert dynamics._steps_positive(traj)
+        expected = analyze(self.RATES, family)[1].to_json_dict()
+        monkeypatch.setattr(dynamics, "_screen_pairs", refuse)
+        monkeypatch.setattr(dynamics, "_seesaw", refuse)
+        _, report = analyze(self.RATES, family)
+        assert report.to_json_dict() == expected
+        assert report.trace_norm_witness is None and report.blp_witness is None
+        for bad in (dict(attempts=-1), dict(refine_iters=-1), dict(seed=-1), dict(seed=True)):
+            with pytest.raises(InvalidInputError):
+                find_p_divisibility_witness(traj, family, **bad)
+        for bad in (dict(witness_attempts=-1), dict(refine_iters=-1), dict(seed=-1)):
+            with pytest.raises(InvalidInputError):
+                analyze(self.RATES, family, **bad)
+
+    def test_not_computed_at_d_2_nor_without_attempts(self, family2, family3, monkeypatch):
+        def refuse(traj):
+            raise _StageFailed("steps certified")
+
+        monkeypatch.setattr(dynamics, "_steps_positive", refuse)
+        analyze(preset_rates("eternal-qubit"), family2, t_max=2.0, steps=40)
+        traj = build_trajectory(preset_rates("avg-decoherence", d=3), t_max=2.0, steps=40)
+        find_p_divisibility_witness(traj, family3, attempts=0)
+        with pytest.raises(InvalidInputError):  # the budgets are checked first
+            find_p_divisibility_witness(traj, family3, refine_iters=-1)
+        with pytest.raises(_StageFailed):
+            find_p_divisibility_witness(traj, family3)
+
+
+_FREE_TANH = st.tuples(*(st.floats(lo, hi, allow_subnormal=False)
+                         for lo, hi in ((-0.6, 1.2), (-1.0, 1.0), (0.3, 2.0), (0.0, 3.0))))
+_PLAIN_TANH = st.tuples(*(st.floats(lo, hi, allow_subnormal=False)
+                          for lo, hi in ((0.4, 1.5), (-0.4, 0.4), (0.3, 2.0), (0.0, 3.0))))
+
+
+@given(data=st.data(), d=st.sampled_from([3, 5, 7]), tanh=st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_certified_steps_give_the_report_of_the_full_search(data, d, tanh):
+    # one rate that may turn negative, d that stay nonnegative
+    if tanh:
+        params = [data.draw(_FREE_TANH)] + data.draw(st.lists(_PLAIN_TANH, min_size=d,
+                                                              max_size=d))
+        rates = rate_set(d, [f"{a!r} + {b!r}*tanh({c!r}*(t - {e!r}))" for a, b, c, e in params])
+    else:
+        constants = [data.draw(st.floats(-1.0, 1.0, allow_subnormal=False))] + data.draw(
+            st.lists(st.floats(0.0, 2.0, allow_subnormal=False), min_size=d, max_size=d))
+        rates = preset_rates("semigroup", constants=constants)
+    assume(dynamics._steps_positive(build_trajectory(rates, t_max=3.0, steps=100)))
+    family = mub_family(d)
+    _, report = analyze(rates, family, t_max=3.0, steps=100)
+    with mock.patch.object(dynamics, "_steps_positive", lambda traj: False):
+        _, searched = analyze(rates, family, t_max=3.0, steps=100)
+    assert report.to_json_dict() == searched.to_json_dict()
+    assert report.trace_norm_witness is None and report.blp_witness is None
 
 
 def _rate_index(label: str) -> int:
