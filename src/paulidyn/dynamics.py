@@ -20,8 +20,11 @@ Checks implemented on a common time grid:
   d-subsets),
 - a sampled Frobenius-norm cross-check,
 - a seeded falsifier searching for intermediate maps that break positivity or
-  increase a trace norm, and a trace-distance (information back-flow) probe on
-  the antipodal state pair of every basis axis.
+  increase a trace norm, skipped where two step certificates of Kossakowski's
+  condition (the pair sum of the two smallest rate increments, then the
+  Weyl-reduced pencil on the symmetric subspace) prove every grid map positive,
+  and a trace-distance (information back-flow) probe on the antipodal state
+  pair of every basis axis.
 
 Verdicts carry signed margins; witness objects carry the concrete state or
 operator achieving the violation.  ``_IMPLIED`` lists the implications between
@@ -530,8 +533,62 @@ def _steps_positive(traj: Trajectory) -> bool:
     the two smallest increments summing to >= 0 suffice.  Positive maps compose, so
     then every grid intermediate map is positive.
     """
-    low = np.partition(np.diff(traj.big_gammas, axis=1), 1, axis=0)[:2]
-    return bool(np.all(low[0] + low[1] >= 0.0))
+    return bool(np.all(_step_pair_sums(traj)[1] >= 0.0))
+
+
+def _step_pair_sums(traj: Trajectory) -> tuple:
+    """The per-step increments dG = diff(big_gammas), (d+1, N), and dG_(1) + dG_(2), (N,)."""
+    increments = np.diff(traj.big_gammas, axis=1)
+    low = np.partition(increments, 1, axis=0)[:2]
+    return increments, low[0] + low[1]
+
+
+def _sym_pencil_blocks(family: MubFamily) -> np.ndarray:
+    """C_a^dag C_a per basis a, (d+1, n, n) with n = (d+1)/2: M_a = sum_l P_al (x) P_al on
+    the X (x) X-invariant part of Sym^2, for odd prime d.
+
+    That part is spanned by v_0 = sum_m |m,m>/sqrt(d) and
+    v_s = sum_m (|m,m+s> + |m+s,m>)/sqrt(2d), s = 1..(d-1)/2, and C[a, l, s] =
+    <b_al (x) b_al|v_s>.  Every M_a commutes with W (x) W, and Z (x) Z carries each
+    X (x) X eigenspace of Sym^2 onto the others (2 is invertible mod d), so the
+    least eigenvalue of sum_a g_a C_a^dag C_a is that of sum_a g_a M_a on all of Sym^2.
+    """
+    d = family.dim
+    n = (d + 1) // 2
+    b = family.bases.conj()
+    # <b (x) b|v_s> = sum_m conj(b_m b_(m+s)), times 1/sqrt(d) for s = 0 and 2/sqrt(2d) after
+    c = np.einsum("alm,alsm->als", b, b[:, :, (np.arange(d) + np.arange(n)[:, None]) % d])
+    c *= np.where(np.arange(n) == 0, 1.0 / math.sqrt(d), math.sqrt(2.0 / d))
+    return c.conj().transpose(0, 2, 1) @ c
+
+
+def _steps_pencil_positive(traj: Trajectory, family: MubFamily) -> bool:
+    """Whether every grid step that the pair sum leaves open passes the Kossakowski pencil.
+
+    With s = (psi (x) phi + phi (x) psi)/sqrt(2), a unit vector in Sym^2 for orthonormal
+    psi, phi, sum_a dG_a Q_a(psi, phi) = <s|sum_a dG_a M_a|s>/2, so a pencil
+    lambda_min(sum_a dG_a M_a) >= 0 on Sym^2 (the reduced blocks of
+    :func:`_sym_pencil_blocks`) makes the step positive.  M_a <= I and sum_a M_a = 2 I on
+    Sym^2 make it at least dG_(1) + dG_(2), so it never certifies less than the pair sum.
+    The worst pair-sum step goes first, alone, then the other open steps in one batch;
+    each column is scaled by its largest |dG|, which keeps the sign and the range.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves a step open
+        increments, pairs = _step_pair_sums(traj)
+    open_steps = np.flatnonzero(~(pairs >= 0.0))
+    if not len(open_steps):
+        return True
+    worst = int(np.argmin(pairs))  # an open step; a NaN pair sum is the first taken
+    blocks = _sym_pencil_blocks(family)
+    for steps in ([worst], open_steps[open_steps != worst]):
+        with np.errstate(invalid="ignore"):
+            cols = increments[:, steps] / np.abs(increments[:, steps]).max(axis=0)
+        if not np.isfinite(cols).all():  # eigvalsh may read NaN as 0
+            return False
+        pencil = (cols.T @ blocks.reshape(len(blocks), -1)).reshape((-1,) + blocks.shape[1:])
+        if not np.all(np.linalg.eigvalsh(pencil)[:, 0] >= 0.0):
+            return False
+    return True
 
 
 def _screen_pairs(log_lam: np.ndarray) -> tuple:
@@ -589,7 +646,16 @@ def _rounding_band(nus: np.ndarray) -> np.ndarray:
 def _pure_response(family: MubFamily, nus: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """Phi_nu(psi psi^dag) per row: the Weyl coefficients of psi psi^dag scaled by nu_a on
     class a.  (C, d+1), (C, d) -> (C, d, d)."""
-    eig = np.concatenate((np.ones((len(nus), 1)), nus), axis=1)[:, family.weyl_classes]
+    return _class_response(_class_eigenvalues(family, nus), psi)
+
+
+def _class_eigenvalues(family: MubFamily, nus: np.ndarray) -> np.ndarray:
+    """(1, nu) expanded to every Weyl coefficient [k, l] by class: (C, d+1) -> (C, d, d)."""
+    return np.concatenate((np.ones((len(nus), 1)), nus), axis=1)[:, family.weyl_classes]
+
+
+def _class_response(eig: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """:func:`_pure_response` on the table of :func:`_class_eigenvalues`."""
     return from_weyl_coefficients(eig * weyl_coefficients(psi[:, :, None] * psi[:, None, :].conj()))
 
 
@@ -601,10 +667,10 @@ def _seesaw(family: MubFamily, nus: np.ndarray, psi: np.ndarray, phi: np.ndarray
     Phi is self-adjoint (real nu), so both halves lower the same form.  Stops
     after ``steps`` steps, or once no row gains more than its rounding band.
     """
-    value, band = np.inf, _rounding_band(nus)
+    value, band, eig = np.inf, _rounding_band(nus), _class_eigenvalues(family, nus)
     for _ in range(steps):
-        phi = np.linalg.eigh(_pure_response(family, nus, psi))[1][..., 0]
-        low, vecs = np.linalg.eigh(_pure_response(family, nus, phi))
+        phi = np.linalg.eigh(_class_response(eig, psi))[1][..., 0]
+        low, vecs = np.linalg.eigh(_class_response(eig, phi))
         psi, settled, value = vecs[..., 0], np.all(low[:, 0] >= value - band), low[:, 0]
         if settled:
             break
@@ -626,8 +692,10 @@ def find_p_divisibility_witness(traj: Trajectory, family: MubFamily,
       SEESAW_CHAINS best chains take batched see-saw steps, then move to the
       pair where their states do best, until none moves.  ``refine_iters``
       caps the steps per round and the rounds; ``attempts = 0`` skips route 2.
-      So does a trajectory whose every grid step ``_steps_positive`` certifies:
-      then every grid map is positive, and route 2 could only find nothing.
+      So does a trajectory whose every grid step is certified positive, by the
+      pair sum of ``_steps_positive`` or, on the steps it leaves open, by the
+      pencil of ``_steps_pencil_positive``: then every grid map is positive, and
+      route 2 could only find nothing.
 
     Returns the largest-magnitude witness, or None (inconclusive, not a proof
     of P-divisibility).
@@ -665,7 +733,8 @@ def find_p_divisibility_witness(traj: Trajectory, family: MubFamily,
     # A qubit Pauli map with nu > 0 is positive iff max nu <= 1, which route 1 decides;
     # if every grid step is certified positive, so is every grid map.
     log_lam = np.ascontiguousarray(traj.log_lambdas.T)
-    search = d > 2 and attempts and not _steps_positive(traj)
+    search = (d > 2 and attempts and not _steps_positive(traj)
+              and not _steps_pencil_positive(traj, family))
     pair_i, pair_j = _screen_pairs(log_lam) if search else ((), ())
     if len(pair_i):
         psi, phi = np.split(random_pure_state(d, np.random.default_rng(seed), 2 * attempts), 2)

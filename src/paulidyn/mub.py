@@ -12,6 +12,7 @@ the eigenvalue of its class (:func:`weyl_coefficients`, :func:`axis_blocks`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -200,18 +201,26 @@ def dephase_all(family: MubFamily, rho) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _wrapped_diagonals(d: int) -> tuple:
+    """The read-only index pair ((m + l) % d, m) that puts x[m+l, m] at [m, l]."""
+    m = np.arange(d)[:, None]
+    rows = (m + m.T) % d
+    for arr in (rows, m):
+        arr.setflags(write=False)
+    return rows, m
+
+
 def weyl_coefficients(x: np.ndarray) -> np.ndarray:
     """c[..., k, l] = Tr(W_kl^dag x) = sum_m x[m+l, m] omega^(-k m) of x (..., d, d):
     one FFT over m of each wrapped diagonal l.  So x = sum_kl c[k, l] W_kl / d."""
-    m = np.arange(x.shape[-1])[:, None]
-    return np.fft.fft(x[..., (m + m.T) % len(m), m], axis=-2)
+    return np.fft.fft(x[(..., *_wrapped_diagonals(x.shape[-1]))], axis=-2)
 
 
 def from_weyl_coefficients(c: np.ndarray) -> np.ndarray:
     """sum_kl c[..., k, l] W_kl / d, the inverse of :func:`weyl_coefficients`."""
-    m = np.arange(c.shape[-1])[:, None]
     x = np.empty(c.shape, dtype=complex)
-    x[..., (m + m.T) % len(m), m] = np.fft.ifft(c, axis=-2)
+    x[(..., *_wrapped_diagonals(c.shape[-1]))] = np.fft.ifft(c, axis=-2)
     return x
 
 

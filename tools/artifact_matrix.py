@@ -51,6 +51,8 @@ line per verdict and per witness, floats as ``repr``::
     <case> <witness> <kind> <s> <t> <magnitude>     (or ``<case> <witness> none``)
 
 so the same ``diff`` shows which decisions moved when the hashes differ.
+``tests/artifact_fields.txt`` pins this output; ``tests/test_artifact_fields.py``
+regenerates and compares it.
 
 The ``paulidyn`` that runs is whichever one ``PYTHONPATH`` selects; its path
 goes to stderr.
