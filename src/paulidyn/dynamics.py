@@ -38,7 +38,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .channel import GenPauliChannel, _freeze, channel_from_eigenvalues, cp_margins
+from .channel import (GenPauliChannel, _distinct_axes, _freeze, channel_from_eigenvalues,
+                      cp_margins)
 from .errors import (
     DimensionError,
     EvaluationError,
@@ -591,22 +592,27 @@ def _steps_pencil_positive(traj: Trajectory, family: MubFamily) -> bool:
     return True
 
 
-def _screen_pairs(log_lam: np.ndarray) -> tuple:
+def _screen_pairs(log_lam: np.ndarray, group=None) -> tuple:
     """Grid index pairs (i < j), in (i, j) order, whose intermediate map is not CP.
 
-    ``log_lam`` is (N+1, d+1).  Every pair of at most SCREEN_GRID spread grid
-    times is taken, plus every adjacent pair on a finer grid: positive maps
-    compose, so a non-positive grid map implies a non-positive adjacent one.
-    CP maps are positive, so skipping them is exact.  Returns int32 arrays.
+    ``log_lam`` is (N+1, u), a column per class of :func:`_distinct_axes`, and ``group``
+    the class of each of the d+1 axes (by default each column is an axis).  Every pair of
+    at most SCREEN_GRID spread grid times is taken, plus every adjacent pair on a finer
+    grid: positive maps compose, so a non-positive grid map implies a non-positive
+    adjacent one.  CP maps are positive, so skipping them is exact.  nu rows expanded by
+    ``group`` are, bit for bit, the (d+1, m) nu array of every axis.  Returns int32 arrays.
     """
     n = log_lam.shape[0] - 1
+    group = np.arange(log_lam.shape[1]) if group is None else group
     sub = np.unique(np.round(np.linspace(0, n, min(SCREEN_GRID, n + 1))).astype(np.int32))
-    pairs = sub[np.array(np.triu_indices(sub.size, 1))]  # (2, P) rows i, j in (i, j) order
+    # rows i, j in (i, j) order, int32 throughout: sub[r] pairs with each of sub[r + 1:]
+    pairs = np.concatenate([np.repeat(sub[:-1], range(sub.size - 1, 0, -1))]
+                           + [sub[r + 1:] for r in range(sub.size - 1)]).reshape(2, -1)
     if n + 1 > SCREEN_GRID:  # every adjacent pair (i, i+1) not in yet, first among those from i
         adj = np.setdiff1d(np.arange(n, dtype=np.int32), sub[:-1][np.diff(sub) == 1])
         pairs = np.insert(pairs, np.searchsorted(pairs[0], adj), [adj, adj + 1], axis=1)
-    non_cp = np.concatenate([cp_margins(np.ascontiguousarray(nus.T))[1] < 0  # sum across rows
-                             for _, nus in _pair_chunks(log_lam, *pairs, log_lam.shape[1])])
+    non_cp = np.concatenate([cp_margins(nus.T[group])[1] < 0  # sum across rows
+                             for _, nus in _pair_chunks(log_lam, *pairs, len(group))])
     return pairs[0, non_cp], pairs[1, non_cp]
 
 
@@ -619,15 +625,17 @@ def _pair_chunks(log_lam: np.ndarray, pair_i: np.ndarray, pair_j: np.ndarray, wi
         yield part.start, nus
 
 
-def _best_pairs(log_lam: np.ndarray, pair_i: np.ndarray, pair_j: np.ndarray, q: np.ndarray):
-    """Per row of ``q``, the least nu . q + 1/d over the pairs and the first pair reaching it."""
+def _best_pairs(log_lam: np.ndarray, pair_i: np.ndarray, pair_j: np.ndarray, q: np.ndarray,
+                d: int):
+    """Per row of ``q``, the least nu . q + 1/d over the pairs and the first pair reaching it;
+    ``q`` is (S, u), folded onto the u class columns of ``log_lam``, so d is passed."""
     best, where = np.full(len(q), np.inf), np.zeros(len(q), dtype=int)
     for lo, nus in _pair_chunks(log_lam, pair_i, pair_j, max(len(q), q.shape[1])):
         vals = q @ nus.T
         k = vals.argmin(axis=1)
         low = vals[np.arange(len(q)), k]
         where, best = np.where(low < best, lo + k, where), np.minimum(low, best)
-    return best + 1.0 / (q.shape[1] - 1), where
+    return best + 1.0 / d, where
 
 
 def _overlap_form(family: MubFamily, psi: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -690,8 +698,10 @@ def find_p_divisibility_witness(traj: Trajectory, family: MubFamily,
       ``attempts`` seeded start pairs (psi, phi) finds its best non-CP grid
       pair by the linear form <phi|Phi(psi psi^dag)|phi> = 1/d + nu . q; the
       SEESAW_CHAINS best chains take batched see-saw steps, then move to the
-      pair where their states do best, until none moves.  ``refine_iters``
-      caps the steps per round and the rounds; ``attempts = 0`` skips route 2.
+      pair where their states do best, until none moves.  The screen, these
+      scoring passes and the final tie scan take nu on the u <= d+1 distinct
+      lambda rows of ``_distinct_axes`` only.  ``refine_iters`` caps the
+      steps per round and the rounds; ``attempts = 0`` skips route 2.
       So does a trajectory whose every grid step is certified positive, by the
       pair sum of ``_steps_positive`` or, on the steps it leaves open, by the
       pencil of ``_steps_pencil_positive``: then every grid map is positive, and
@@ -732,32 +742,36 @@ def find_p_divisibility_witness(traj: Trajectory, family: MubFamily,
     # Route 2: see-saw for a pure state that a non-CP intermediate map sends below zero.
     # A qubit Pauli map with nu > 0 is positive iff max nu <= 1, which route 1 decides;
     # if every grid step is certified positive, so is every grid map.
-    log_lam = np.ascontiguousarray(traj.log_lambdas.T)
     search = (d > 2 and attempts and not _steps_positive(traj)
               and not _steps_pencil_positive(traj, family))
-    pair_i, pair_j = _screen_pairs(log_lam) if search else ((), ())
-    if len(pair_i):
+    if search:
+        axes, group = _distinct_axes(traj.log_lambdas)
+        log_lam = np.ascontiguousarray(traj.log_lambdas[axes].T)  # (N+1, u): a column per class
+        pair_i, pair_j = _screen_pairs(log_lam, group)
+    if search and len(pair_i):
         psi, phi = np.split(random_pure_state(d, np.random.default_rng(seed), 2 * attempts), 2)
         phi = phi - (psi.conj() * phi).sum(axis=1, keepdims=True) * psi
         phi /= np.linalg.norm(phi, axis=1, keepdims=True)
-        value, chain = _best_pairs(log_lam, pair_i, pair_j, _overlap_form(family, psi, phi))
+        fold = np.eye(len(axes))[group]  # q @ fold sums q by class; q itself for singletons
+        value, chain = _best_pairs(log_lam, pair_i, pair_j,
+                                   _overlap_form(family, psi, phi) @ fold, d)
         top = np.argsort(value, kind="stable")[:SEESAW_CHAINS]
         chain, psi, phi = chain[top], psi[top], phi[top]
         for _ in range(refine_iters):
-            nus = np.exp(log_lam[pair_j[chain]] - log_lam[pair_i[chain]])
+            nus = np.exp(log_lam[pair_j[chain]] - log_lam[pair_i[chain]])[:, group]
             psi, phi = _seesaw(family, nus, psi, phi, refine_iters)
             q = _overlap_form(family, psi, phi)
-            value, best = _best_pairs(log_lam, pair_i, pair_j, q)
+            value, best = _best_pairs(log_lam, pair_i, pair_j, q @ fold, d)
             moved = value < 1.0 / d + (nus * q).sum(axis=1) - _rounding_band(nus)
             if not moved.any():
                 break
             chain = np.where(moved, best, chain)
         # the best chain's psi, on the earliest pair within rounding of its minimum
-        nus = np.exp(log_lam[pair_j[chain]] - log_lam[pair_i[chain]])
+        nus = np.exp(log_lam[pair_j[chain]] - log_lam[pair_i[chain]])[:, group]
         q = _overlap_form(family, psi, phi)
         c = int(np.argmin((nus * q).sum(axis=1)))
-        vals = np.concatenate([rows @ q[c]
-                               for _, rows in _pair_chunks(log_lam, pair_i, pair_j, d + 1)])
+        vals = np.concatenate([rows @ (q[c] @ fold) for _, rows
+                               in _pair_chunks(log_lam, pair_i, pair_j, len(axes))])
         k = int(np.flatnonzero(vals <= vals.min() + _rounding_band(nus[c]))[0])
         gi, gj, best_psi = int(pair_i[k]), int(pair_j[k]), psi[c]
         v_rho = spectral_apply(family, intermediate_map(traj, gi, gj).nus,
@@ -1056,15 +1070,14 @@ def _csv_block(traj: Trajectory, span: slice) -> str:
                        traj.lambdas[:, span]))
     bits, rows = block.view(np.int64), block.shape[1]
     constant = (bits == bits[:, :1]).all(axis=1)
-    first = {}
-    source = [first.setdefault(column.tobytes(), k) for k, column in enumerate(bits)]
-    x = np.concatenate([block[k, :1] if constant[k] else block[k] for k in first.values()])
+    firsts, group = _distinct_axes(block)
+    x = np.concatenate([block[k, :1] if constant[k] else block[k] for k in firsts])
     del block, bits  # x holds the distinct values: release the block before the text
     values = format_values(x)
-    text, at = {}, 0
-    for k in first.values():
-        text[k] = values[at:at + 1] * rows if constant[k] else values[at:at + rows]
+    text, at = [], 0
+    for k in firsts:
+        text.append(values[at:at + 1] * rows if constant[k] else values[at:at + rows])
         at += 1 if constant[k] else rows
-    lines = list(map(",".join, zip(*[text[k] for k in source])))
+    lines = list(map(",".join, zip(*[text[g] for g in group])))
     lines.append("")  # the block's last newline, without a second copy of its text
     return "\n".join(lines)

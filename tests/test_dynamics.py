@@ -1328,6 +1328,104 @@ _TANH_PARAMS = st.tuples(*(st.floats(lo, hi, allow_subnormal=False)
                            for lo, hi in ((-0.6, 1.2), (-1.0, 1.0), (0.3, 2.0), (0.0, 4.0))))
 
 
+def reference_best_pairs(log_lam: np.ndarray, pair_i, pair_j, q: np.ndarray) -> tuple:
+    """The scoring pass of the witness search on all d+1 columns of ``log_lam`` (N+1, d+1),
+    with nu . q summed over every axis."""
+    best, where = np.full(len(q), np.inf), np.zeros(len(q), dtype=int)
+    for lo, nus in dynamics._pair_chunks(log_lam, pair_i, pair_j, max(len(q), q.shape[1])):
+        vals = q @ nus.T
+        k = vals.argmin(axis=1)
+        low = vals[np.arange(len(q)), k]
+        where, best = np.where(low < best, lo + k, where), np.minimum(low, best)
+    return best + 1.0 / (q.shape[1] - 1), where
+
+
+def _singleton_axes(log_lam):
+    return np.arange(len(log_lam)), np.arange(len(log_lam))
+
+
+def _tanh_sources(params) -> list:
+    return [f"{a!r} + {b!r}*tanh({c!r}*(t - {e!r}))" for a, b, c, e in params]
+
+
+class TestDistinctAxes:
+    """Route 2 of the witness search scores its grid pairs on the distinct lambda rows."""
+
+    def test_equal_bits_from_different_sources_group_together(self):
+        # 1 and 2-1 integrate to the same bits; 1.0000000000000002 is one ulp above 1
+        rates = rate_set(5, ["1", "2-1", "1.0000000000000002", "-tanh(t)", "1.0", "-tanh(t)"])
+        traj = build_trajectory(rates, t_max=3.0, steps=60)
+        axes, group = dynamics._distinct_axes(traj.log_lambdas)
+        assert axes == [0, 2, 3] and group == [0, 0, 1, 2, 0, 2]
+
+    def test_rows_one_grid_value_apart_stay_apart(self):
+        log_lam = np.array(build_trajectory(preset_rates("avg-decoherence", d=5), t_max=3.0,
+                                            steps=60).log_lambdas)
+        assert dynamics._distinct_axes(log_lam)[1] == [0, 0, 0, 0, 0, 1]
+        log_lam[3, 17] = np.nextafter(log_lam[3, 17], np.inf)
+        log_lam[4, 0] = -0.0  # the sign of a zero is a bit too
+        axes, group = dynamics._distinct_axes(log_lam)
+        assert axes == [0, 3, 4, 5] and group == [0, 0, 0, 1, 2, 3]
+
+    @pytest.mark.parametrize("d, steps", [(3, 400), (7, 400), (7, 10_000), (13, 400)])
+    @pytest.mark.parametrize("preset", ["eternal-general", "avg-decoherence"])
+    def test_grouped_screen_keeps_the_pairs_of_every_column(self, preset, d, steps):
+        log_lam = build_trajectory(preset_rates(preset, d=d), t_max=5.0, steps=steps).log_lambdas
+        axes, group = dynamics._distinct_axes(log_lam)
+        assert len(axes) == 2
+        grouped = _screen_pairs(np.ascontiguousarray(log_lam[axes].T), group)
+        full = _screen_pairs(np.ascontiguousarray(log_lam.T))
+        assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(grouped, full))
+
+
+@given(data=st.data(), d=st.sampled_from([3, 5, 7]), rows=st.sampled_from([12, 64]))
+@settings(max_examples=30, deadline=None)
+def test_best_pairs_on_distinct_rates_is_the_full_column_pass(data, d, rows):
+    params = data.draw(st.lists(_TANH_PARAMS, min_size=d + 1, max_size=d + 1, unique=True))
+    traj = build_trajectory(rate_set(d, _tanh_sources(params)), t_max=3.0, steps=60)
+    axes, group = dynamics._distinct_axes(traj.log_lambdas)
+    assume(len(axes) == d + 1)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    psi, phi = random_pure_state(d, rng, rows), random_pure_state(d, rng, rows)
+    q = _overlap_form(mub_family(d), psi, phi)
+    log_lam = np.ascontiguousarray(traj.log_lambdas.T)
+    pair_i, pair_j = reference_screen_grid_pairs(traj.steps)
+    fold = np.eye(len(axes))[group]  # the identity here
+    with mock.patch.object(dynamics, "_STACK_ELEMENTS", 64 * (d + 1)):  # several chunks
+        value, where = dynamics._best_pairs(log_lam, pair_i, pair_j, q @ fold, d)
+        ref_value, ref_where = reference_best_pairs(log_lam, pair_i, pair_j, q)
+    assert np.array_equal(value, ref_value) and np.array_equal(where, ref_where)
+
+
+@given(data=st.data(), d=st.sampled_from([3, 5, 7]),
+       kind=st.sampled_from(["semigroup", "eternal-general", "avg-decoherence", "tanh"]))
+@settings(max_examples=40, deadline=None)
+def test_grouped_search_finds_the_witness_of_the_singleton_search(data, d, kind):
+    # a few sources, each shared by several rates, so the lambda rows repeat
+    if kind == "semigroup":
+        pool = data.draw(st.lists(st.floats(-1.0, 2.0, allow_subnormal=False), min_size=1,
+                                  max_size=3))
+        rates = preset_rates("semigroup", constants=[data.draw(st.sampled_from(pool))
+                                                     for _ in range(d + 1)])
+    elif kind == "tanh":
+        pool = _tanh_sources(data.draw(st.lists(_TANH_PARAMS, min_size=1, max_size=3)))
+        rates = rate_set(d, [data.draw(st.sampled_from(pool)) for _ in range(d + 1)])
+    else:
+        rates = preset_rates(kind, d=d)
+    traj = build_trajectory(rates, t_max=3.0, steps=120)
+    assume(len(dynamics._distinct_axes(traj.log_lambdas)[0]) <= d)
+    family = mub_family(d)
+    with mock.patch.object(dynamics, "_steps_positive", lambda traj: False), \
+            mock.patch.object(dynamics, "_steps_pencil_positive", lambda traj, family: False):
+        grouped = find_p_divisibility_witness(traj, family, seed=3)
+        with mock.patch.object(dynamics, "_distinct_axes", _singleton_axes):
+            singleton = find_p_divisibility_witness(traj, family, seed=3)
+    assert (grouped is None) == (singleton is None)
+    if grouped is not None:
+        assert (grouped.kind, grouped.s, grouped.t) == (singleton.kind, singleton.s, singleton.t)
+        assert grouped.magnitude == pytest.approx(singleton.magnitude, rel=1e-12)
+
+
 @given(params=st.lists(_TANH_PARAMS, min_size=3, max_size=3))
 # the sampled pair sum gamma_1 + gamma_2 is -0.021 at t = 0 only; every step average is > 0
 @example(params=[
@@ -1434,7 +1532,9 @@ def test_certified_steps_give_the_report_of_the_full_search(data, d, tanh):
     assume(dynamics._steps_positive(build_trajectory(rates, t_max=3.0, steps=100)))
     family = mub_family(d)
     _, report = analyze(rates, family, t_max=3.0, steps=100)
-    with mock.patch.object(dynamics, "_steps_positive", lambda traj: False):
+    # with both certificates off, route 2 runs: the pencil alone would certify these steps too
+    with mock.patch.object(dynamics, "_steps_positive", lambda traj: False), \
+            mock.patch.object(dynamics, "_steps_pencil_positive", lambda traj, family: False):
         _, searched = analyze(rates, family, t_max=3.0, steps=100)
     assert report.to_json_dict() == searched.to_json_dict()
     assert report.trace_norm_witness is None and report.blp_witness is None

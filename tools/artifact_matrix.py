@@ -12,13 +12,15 @@ at d=3 and d=5 with ``--attempts=0`` (route 1 alone) and with
 lambda_24 (``semigroup-axis24-d23``: a BLP witness on the last axis, which a probe
 of the first 20 bases misses), the d=3 tanh set on a 10^4-step grid (every CSV
 column distinct), 10^4-step eternal-general (d=3) and avg-decoherence (d=7)
-grids, one d=3 rate with a 0.02-wide dip (a non-positive intermediate map
-between two nearby grid times), one d=3 rate whose dip lies inside the first
-grid step (``deep-dip-d3``: a grid-resolution error, exit 3), one d=3 set whose
-eigenvalue ratio overflows and one whose largest ratio is finite but within a
-factor of 4 of the double range, two semigroups whose rate integrals leave the
-double range, two semigroups with a rate just below zero (inside the inequality
-slack), one semigroup whose trajectory.csv holds exact 17-digit ties and values
+grids, avg-decoherence's d=5 rates with the unit rates written five ways
+(``1``, ``1.0``, ``2-1``, ...) and with one of them one ulp above 1, one d=3
+rate with a 0.02-wide dip (a non-positive intermediate map between two nearby
+grid times), one d=3 rate whose dip lies inside the first grid step
+(``deep-dip-d3``: a grid-resolution error, exit 3), one d=3 set whose eigenvalue
+ratio overflows and one whose largest ratio is finite but within a factor of 4
+of the double range, two semigroups whose rate integrals leave the double range,
+two semigroups with a rate just below zero (inside the inequality slack), one
+semigroup whose trajectory.csv holds exact 17-digit ties and values
 on both sides of the switch to exponent notation, three d=2 rate sets that fail
 to evaluate (ln of a nonpositive value at a grid time, division by zero, and
 the literal 1e999) and four that fail to parse (an unexpected character, an
@@ -155,6 +157,15 @@ def cases():
     # the first 10^4-step case at d >= 7: adjacent pairs meet pairwise-summed CP margins
     yield ("avg-decoherence-d7-t5-n10000",
            ["--preset=avg-decoherence", "--d=7", "--t-max=5", "--steps=10000"])
+    # avg-decoherence's rates with its five unit rates spelled five ways: they integrate to
+    # the same bits, so the witness search scores one column for the five axes
+    companion = "--gamma=-(5-1)*(exp(5*t)-1)/(exp(5*t)+5-1)"
+    yield ("equal-sources-d5",
+           ["--d=5"] + [f"--gamma={g}" for g in ("1", "1.0", "2-1", "0.5+0.5", "3/3")]
+           + [companion])
+    # the same with gamma_2 one ulp above 1: its lambda row is a class of its own
+    yield "last-bit-apart-d5", ["--d=5", "--gamma=1", "--gamma=1.0000000000000002"] + \
+        ["--gamma=1"] * 3 + [companion]
     # not positive between t = 2.05 and 2.075 only
     yield ("short-window-d3",
            ["--d=3"] + ["--gamma=1"] * 3 + ["--gamma=1 - 3*exp(0-((t-2.06)/0.02)^2)"])
