@@ -5,18 +5,13 @@ from .channel import (
     ChoiMatrix,
     CpCheck,
     GenPauliChannel,
-    WeylChannel,
     apply,
     channel_from_eigenvalues,
-    channel_from_json_dict,
     channel_from_probabilities,
     choi_matrix,
     eigenvalues_from_probabilities,
     is_cp_fujiwara,
     probabilities_from_eigenvalues,
-    weyl_channel,
-    weyl_channel_apply,
-    weyl_channel_from_pauli,
 )
 from .dynamics import (
     DivisibilityReport,
@@ -26,7 +21,6 @@ from .dynamics import (
     Witness,
     analyze,
     build_trajectory,
-    channel_at,
     check_blp,
     check_cp_divisible,
     check_cptp_trajectory,
@@ -36,9 +30,7 @@ from .dynamics import (
     check_weyl_sufficient,
     evolve_operator,
     find_p_divisibility_witness,
-    generator_apply,
     intermediate_map,
-    trajectory_to_csv,
     weyl_rates_from_trajectory,
 )
 from .errors import (
@@ -56,8 +48,6 @@ from .errors import (
 from .linalg import (
     HermitianCheckResult,
     KrausMap,
-    dagger,
-    frobenius_norm,
     hermitian_check,
     min_eigenvalue_hermitian,
     trace_norm,
@@ -77,7 +67,6 @@ from .ratefn import (
     RateExpr,
     RateSet,
     evaluate,
-    integrate,
     parse,
     preset_rates,
     rate_set,

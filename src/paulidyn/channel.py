@@ -1,4 +1,4 @@
-"""Static generalized Pauli channels and Weyl channels.
+"""Static generalized Pauli channels.
 
 A generalized Pauli channel is the mixture p0 * id + sum_alpha p_alpha / (d-1)
 of the basis mixing maps of a complete MUB family.  It is diagonal on the
@@ -19,10 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, InvalidInputError
+from .errors import InvalidInputError
 from .linalg import as_square_matrix, min_eigenvalue_hermitian
-from .mub import (MubFamily, WeylBasis, from_weyl_coefficients, mub_family, spectral_apply,
-                  unitary_powers, weyl_basis, weyl_coefficients)
+from .mub import MubFamily, spectral_apply, unitary_powers
 
 #: slack used for the stored CP flag (absorbs float noise at the CP boundary)
 CP_FLAG_TOL = 1e-12
@@ -257,83 +256,3 @@ def choi_matrix(channel_like, dim: int | None = None) -> ChoiMatrix:
             c[i * d : (i + 1) * d, j * d : (j + 1) * d] = channel_like(unit) / d
             unit[i, j] = 0.0
     return ChoiMatrix(dim=d, matrix=_freeze(c))
-
-
-# ---------------------------------------------------------------------------
-# Weyl channels
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class WeylChannel:
-    """Mixture of Weyl-operator conjugations with weights p[k, l]; p[0, 0] is
-    the identity component."""
-
-    basis: WeylBasis
-    probabilities: np.ndarray  # (d, d)
-
-    @property
-    def dim(self) -> int:
-        return self.basis.dim
-
-    def __call__(self, rho) -> np.ndarray:
-        return weyl_channel_apply(self, rho)
-
-
-def weyl_channel(basis: WeylBasis, p) -> WeylChannel:
-    arr = np.asarray(p, dtype=float)
-    d = basis.dim
-    if arr.shape != (d, d):
-        raise InvalidInputError(f"Weyl probabilities must have shape {(d, d)}, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidInputError("Weyl probabilities have non-finite entries")
-    if abs(arr.sum() - 1.0) > _PROB_SUM_TOL:
-        raise InvalidInputError(f"Weyl probabilities must sum to 1, got {arr.sum()!r}")
-    return WeylChannel(basis, _freeze(arr.copy()))
-
-
-def weyl_channel_apply(ch: WeylChannel, rho) -> np.ndarray:
-    """Conjugation by W_k'l' scales the Weyl coefficient [k, l] of rho by omega^(k'l - l'k), so
-    the channel scales it by mu[k, l] = sum p[k', l'] omega^(k'l - l'k) = fft2(p)[-l, k]."""
-    arr = as_square_matrix(rho, ch.dim)
-    mu = np.fft.fft2(ch.probabilities)[-np.arange(ch.dim)].T
-    return from_weyl_coefficients(mu * weyl_coefficients(arr))
-
-
-def weyl_channel_from_pauli(ch: GenPauliChannel, basis: WeylBasis | None = None) -> WeylChannel:
-    """Re-express a generalized Pauli channel as a Weyl channel (prime d).
-
-    Each MUB class weight p_alpha spreads uniformly over the d-1 Weyl
-    operators of the matching commuting class; the actions coincide because
-    U_alpha^k equals the class members up to phases that cancel in rho -> W rho W^dag.
-    """
-    if basis is None:
-        basis = weyl_basis(ch.dim)
-    if basis.dim != ch.dim:
-        raise DimensionError(f"Weyl basis dimension {basis.dim} != channel dimension {ch.dim}")
-    weights = np.concatenate((ch.probabilities[:1], ch.probabilities[1:] / (ch.dim - 1)))
-    return WeylChannel(basis, _freeze(weights[ch.family.weyl_classes]))
-
-
-# ---------------------------------------------------------------------------
-# JSON round-trip
-# ---------------------------------------------------------------------------
-
-
-def channel_from_json_dict(data: dict, family: MubFamily | None = None) -> GenPauliChannel:
-    """Rebuild a channel from its JSON dict; validates the stored eigenvalues."""
-    try:
-        d = int(data["dim"])
-        probs = data["probabilities"]
-        eig = data["eigenvalues"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidInputError(f"malformed channel JSON: {exc}") from exc
-    if family is None:
-        family = mub_family(d)
-    elif family.dim != d:
-        raise DimensionError(f"family dimension {family.dim} != JSON dimension {d}")
-    ch = channel_from_probabilities(family, probs)
-    stored = _as_vector(eig, d + 2, "eigenvalues")
-    if np.abs(stored - ch.eigenvalues).max() > 1e-12:
-        raise InvalidInputError("stored eigenvalues are inconsistent with probabilities")
-    return ch

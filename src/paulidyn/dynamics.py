@@ -38,8 +38,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .channel import (GenPauliChannel, _distinct_axes, _freeze, channel_from_eigenvalues,
-                      cp_margins)
+from .channel import _distinct_axes, _freeze, cp_margins
 from .errors import (
     DimensionError,
     EvaluationError,
@@ -125,11 +124,6 @@ class Trajectory:
         """log lambda_alpha = G_alpha - G, finite where lambda underflows to 0."""
         return self.big_gammas - self.big_gammas.sum(axis=0)
 
-    @property
-    def mus(self) -> np.ndarray:
-        """Generator eigenvalues gamma_alpha - sum(gamma)."""
-        return self.gammas - self.gammas.sum(axis=0)
-
 
 def build_trajectory(rates: RateSet, t_max: float, steps: int = 400,
                      tol: float = 1e-10) -> Trajectory:
@@ -176,11 +170,6 @@ def build_trajectory(rates: RateSet, t_max: float, steps: int = 400,
     )
 
 
-def channel_at(traj: Trajectory, family: MubFamily, i: int) -> GenPauliChannel:
-    """The dynamical map at grid index ``i`` as a static channel object."""
-    return channel_from_eigenvalues(family, traj.lambdas[:, i])
-
-
 @dataclass(frozen=True)
 class IntermediateMap:
     """The connecting map between two grid times, via eigenvalue ratios.
@@ -193,9 +182,6 @@ class IntermediateMap:
     s: float
     t: float
     nus: np.ndarray  # (d+1,)
-
-    def as_channel(self, family: MubFamily) -> GenPauliChannel:
-        return channel_from_eigenvalues(family, self.nus)
 
 
 def intermediate_map(traj: Trajectory, i: int, j: int) -> IntermediateMap:
@@ -216,21 +202,8 @@ def intermediate_map(traj: Trajectory, i: int, j: int) -> IntermediateMap:
 
 
 # ---------------------------------------------------------------------------
-# Generator action and spectral evolution of operators
+# Spectral evolution of operators
 # ---------------------------------------------------------------------------
-
-
-def generator_apply(rates: RateSet, family: MubFamily, t: float, rho) -> np.ndarray:
-    """The time-local generator sum_alpha gamma_alpha(t) (dephase_alpha - id).
-
-    In eigenvalue form it scales axis alpha by mu_alpha = gamma_alpha - sum(gamma)
-    and annihilates the identity part.
-    """
-    arr = as_square_matrix(rho, family.dim)
-    if rates.dim != family.dim:
-        raise DimensionError(f"rate set is d={rates.dim}, family is d={family.dim}")
-    g = np.array(rates.sample(t))
-    return np.tensordot(g - g.sum(), axis_blocks(family, arr), axes=1)
 
 
 def evolve_operator(traj: Trajectory, family: MubFamily, x) -> np.ndarray:
@@ -526,19 +499,14 @@ def _axis_scan(traj: Trajectory):
         return float(np.exp(log_ratios[a, rel_j])), int(a), i, int(j)
 
 
-def _steps_positive(traj: Trajectory) -> bool:
-    """Whether every grid step's map exp(sum_a dG_a (D_a - id)) is certified positive.
-
-    A step is positive if sum_a dG_a Q_a(psi, phi) >= 0 for all orthonormal psi, phi
-    (Kossakowski).  The d+1 MUBs form a 2-design, so sum_a Q_a = 1 and 0 <= Q_a <= 1/2:
-    the two smallest increments summing to >= 0 suffice.  Positive maps compose, so
-    then every grid intermediate map is positive.
-    """
-    return bool(np.all(_step_pair_sums(traj)[1] >= 0.0))
-
-
 def _step_pair_sums(traj: Trajectory) -> tuple:
-    """The per-step increments dG = diff(big_gammas), (d+1, N), and dG_(1) + dG_(2), (N,)."""
+    """The per-step increments dG = diff(big_gammas), (d+1, N), and dG_(1) + dG_(2), (N,).
+
+    A step's map exp(sum_a dG_a (D_a - id)) is positive if sum_a dG_a Q_a(psi, phi) >= 0
+    for all orthonormal psi, phi (Kossakowski).  The d+1 MUBs form a 2-design, so
+    sum_a Q_a = 1 and 0 <= Q_a <= 1/2: a pair sum dG_(1) + dG_(2) >= 0 makes the step
+    positive.  Positive maps compose, so then every grid intermediate map is positive.
+    """
     increments = np.diff(traj.big_gammas, axis=1)
     low = np.partition(increments, 1, axis=0)[:2]
     return increments, low[0] + low[1]
@@ -564,7 +532,8 @@ def _sym_pencil_blocks(family: MubFamily) -> np.ndarray:
 
 
 def _steps_pencil_positive(traj: Trajectory, family: MubFamily) -> bool:
-    """Whether every grid step that the pair sum leaves open passes the Kossakowski pencil.
+    """Whether every grid step is certified positive: by the pair sum of
+    :func:`_step_pair_sums`, or, on the steps that it leaves open, by the Kossakowski pencil.
 
     With s = (psi (x) phi + phi (x) psi)/sqrt(2), a unit vector in Sym^2 for orthonormal
     psi, phi, sum_a dG_a Q_a(psi, phi) = <s|sum_a dG_a M_a|s>/2, so a pencil
@@ -651,19 +620,14 @@ def _rounding_band(nus: np.ndarray) -> np.ndarray:
     return TIE_ULPS * np.finfo(float).eps * (1.0 + np.abs(nus).sum(axis=-1))
 
 
-def _pure_response(family: MubFamily, nus: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """Phi_nu(psi psi^dag) per row: the Weyl coefficients of psi psi^dag scaled by nu_a on
-    class a.  (C, d+1), (C, d) -> (C, d, d)."""
-    return _class_response(_class_eigenvalues(family, nus), psi)
-
-
 def _class_eigenvalues(family: MubFamily, nus: np.ndarray) -> np.ndarray:
     """(1, nu) expanded to every Weyl coefficient [k, l] by class: (C, d+1) -> (C, d, d)."""
     return np.concatenate((np.ones((len(nus), 1)), nus), axis=1)[:, family.weyl_classes]
 
 
 def _class_response(eig: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """:func:`_pure_response` on the table of :func:`_class_eigenvalues`."""
+    """Phi_nu(psi psi^dag) per row: the Weyl coefficients of psi psi^dag scaled by the table
+    ``eig`` of :func:`_class_eigenvalues`.  (C, d, d), (C, d) -> (C, d, d)."""
     return from_weyl_coefficients(eig * weyl_coefficients(psi[:, :, None] * psi[:, None, :].conj()))
 
 
@@ -702,10 +666,10 @@ def find_p_divisibility_witness(traj: Trajectory, family: MubFamily,
       scoring passes and the final tie scan take nu on the u <= d+1 distinct
       lambda rows of ``_distinct_axes`` only.  ``refine_iters`` caps the
       steps per round and the rounds; ``attempts = 0`` skips route 2.
-      So does a trajectory whose every grid step is certified positive, by the
-      pair sum of ``_steps_positive`` or, on the steps it leaves open, by the
-      pencil of ``_steps_pencil_positive``: then every grid map is positive, and
-      route 2 could only find nothing.
+      So does a trajectory whose every grid step ``_steps_pencil_positive``
+      certifies positive, by the pair sum of ``_step_pair_sums`` or, on the steps
+      it leaves open, by the pencil: then every grid map is positive, and route 2
+      could only find nothing.
 
     Returns the largest-magnitude witness, or None (inconclusive, not a proof
     of P-divisibility).
@@ -742,8 +706,7 @@ def find_p_divisibility_witness(traj: Trajectory, family: MubFamily,
     # Route 2: see-saw for a pure state that a non-CP intermediate map sends below zero.
     # A qubit Pauli map with nu > 0 is positive iff max nu <= 1, which route 1 decides;
     # if every grid step is certified positive, so is every grid map.
-    search = (d > 2 and attempts and not _steps_positive(traj)
-              and not _steps_pencil_positive(traj, family))
+    search = d > 2 and attempts and not _steps_pencil_positive(traj, family)
     if search:
         axes, group = _distinct_axes(traj.log_lambdas)
         log_lam = np.ascontiguousarray(traj.log_lambdas[axes].T)  # (N+1, u): a column per class

@@ -1,4 +1,4 @@
-"""Dense complex matrix primitives: norms, spectra, Hermiticity checks, seeded sampling.
+"""Dense complex matrix primitives: the trace norm, spectra, Hermiticity checks, seeded sampling.
 
 All operators in this package are plain ``numpy`` arrays of shape ``(d, d)``
 with complex entries.  Functions here are pure and never mutate their inputs;
@@ -13,8 +13,6 @@ import numpy as np
 
 from .errors import DimensionError, InvalidInputError, NonHermitianError
 
-#: default entrywise tolerance for matrix equality
-EQUALITY_TOL = 1e-12
 #: default tolerance when deciding whether a matrix counts as Hermitian
 HERMITIAN_TOL = 1e-10
 
@@ -42,27 +40,10 @@ def complex_pairs(x) -> list:
     return np.stack((x.real, x.imag), -1).tolist()
 
 
-def dagger(x) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(x).conj().T
-
-
 def trace_norm(x) -> float:
     """Sum of singular values of ``x`` (equals Tr sqrt(X X^dag))."""
     arr = as_square_matrix(x)
     return float(np.linalg.svd(arr, compute_uv=False).sum())
-
-
-def frobenius_norm(x) -> float:
-    """sqrt(Tr X^dag X)."""
-    arr = as_square_matrix(x)
-    return float(np.linalg.norm(arr))
-
-
-def hermiticity_deviation(x) -> float:
-    """Largest entrywise deviation of ``x`` from its conjugate transpose."""
-    arr = as_square_matrix(x)
-    return float(np.abs(arr - arr.conj().T).max())
 
 
 @dataclass(frozen=True)
@@ -72,7 +53,9 @@ class HermitianCheckResult:
 
 
 def hermitian_check(x, tol: float = HERMITIAN_TOL) -> HermitianCheckResult:
-    dev = hermiticity_deviation(x)
+    """Largest entrywise deviation of ``x`` from its conjugate transpose, against ``tol``."""
+    arr = as_square_matrix(x)
+    dev = float(np.abs(arr - arr.conj().T).max())
     return HermitianCheckResult(is_hermitian=dev <= tol, max_deviation=dev)
 
 
@@ -84,17 +67,11 @@ def min_eigenvalue_hermitian(x, tol: float = HERMITIAN_TOL) -> float:
     depend on sub-tolerance noise.
     """
     arr = as_square_matrix(x)
-    dev = float(np.abs(arr - arr.conj().T).max())
-    if dev > tol:
-        raise NonHermitianError(f"matrix is not Hermitian (max deviation {dev:.3e} > {tol:.1e})")
+    check = hermitian_check(arr, tol)
+    if not check.is_hermitian:
+        raise NonHermitianError(f"matrix is not Hermitian "
+                                f"(max deviation {check.max_deviation:.3e} > {tol:.1e})")
     return float(np.linalg.eigvalsh(0.5 * (arr + arr.conj().T))[0])
-
-
-def matrices_close(a, b, tol: float = EQUALITY_TOL) -> bool:
-    """Entrywise equality within an absolute tolerance."""
-    am = as_square_matrix(a)
-    bm = as_square_matrix(b, len(am))
-    return bool(np.abs(am - bm).max() <= tol)
 
 
 @dataclass(frozen=True)
@@ -128,14 +105,6 @@ def random_complex_matrix(d: int, rng: np.random.Generator, n: int | None = None
 def random_hermitian(d: int, rng: np.random.Generator, n: int | None = None) -> np.ndarray:
     g = random_complex_matrix(d, rng, n)
     return 0.5 * (g + np.conj(np.swapaxes(g, -1, -2)))
-
-
-def random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-ish unitary from the QR decomposition of a Ginibre matrix."""
-    q, r = np.linalg.qr(random_complex_matrix(d, rng))
-    phases = np.diag(r).copy()
-    phases /= np.abs(phases)
-    return q * phases
 
 
 def random_pure_state(d: int, rng: np.random.Generator, n: int | None = None) -> np.ndarray:

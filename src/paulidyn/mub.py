@@ -47,10 +47,6 @@ class WeylBasis:
     operators: np.ndarray  # shape (d, d, d, d), indexed [k, l]
     omega: complex
 
-    def op(self, k: int, l: int) -> np.ndarray:
-        """W_{kl} with indices reduced mod d."""
-        return self.operators[k % self.dim, l % self.dim]
-
 
 def _check_dim(d) -> int:
     if not isinstance(d, (int, np.integer)) or d < 2:

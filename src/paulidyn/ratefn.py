@@ -12,7 +12,7 @@ Grammar (EBNF; also documented in the README):
 Precedence, tightest first: unary minus, "^", "*" and "/", "+" and "-";
 so "-t^2" means "(-t)^2".  The operators live in one table, ``_OPERATORS``,
 and the functions in ``_FUNCTIONS``; the tokenizer, the precedence-climbing
-parser, the printer and the evaluator all read them.  The only variable is t.
+parser and the evaluator all read them.  The only variable is t.
 A NUMBER must be a finite double: a literal beyond the double range, such as
 1e999, is a :class:`ParseError` at its position, and so is nesting too deep
 for the interpreter's stack.  Domain violations (ln of a nonpositive value,
@@ -79,7 +79,6 @@ _OPERATORS = {"+": (1, np.add), "-": (1, np.subtract), "*": (2, np.multiply),
               "/": (2, np.divide), "^": (3, np.power)}
 _FUNCTIONS = {"tanh": np.tanh, "exp": np.exp, "ln": np.log, "cosh": np.cosh, "sinh": np.sinh,
               "pow": np.power}
-_LEVEL_UNARY = 1 + max(level for level, _ in _OPERATORS.values())
 
 _TOKEN_RE = re.compile(
     r"(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
@@ -173,35 +172,6 @@ class _Parser:
             self.expect_op(")")
             return node
         raise ParseError(f"unexpected {text!r}" if text else "unexpected end of input", pos)
-
-
-# ---------------------------------------------------------------------------
-# Printing (precedence-aware, reparses to the same tree)
-# ---------------------------------------------------------------------------
-
-
-def _emit(node, min_level: int) -> str:
-    level = _LEVEL_UNARY + 1  # an atom
-    if isinstance(node, Num):
-        text = repr(node.value)
-    elif isinstance(node, Var):
-        text = "t"
-    elif isinstance(node, Neg):
-        level = _LEVEL_UNARY
-        text = "-" + _emit(node.operand, level)
-    elif isinstance(node, Call):
-        text = node.name + "(" + ", ".join(_emit(a, 1) for a in node.args) + ")"
-    elif isinstance(node, BinOp):
-        level = _OPERATORS[node.op][0]
-        # left-associative: the right operand must bind strictly tighter
-        text = _emit(node.left, level) + f" {node.op} " + _emit(node.right, level + 1)
-    else:  # pragma: no cover
-        raise TypeError(f"not an AST node: {node!r}")
-    return "(" + text + ")" if level < min_level else text
-
-
-def to_source(node) -> str:
-    return _emit(node, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -421,9 +391,6 @@ class RateSet:
 
     dim: int
     rates: tuple  # of RateExpr, length d+1
-
-    def sample(self, t: float) -> list:
-        return [evaluate(r, t) for r in self.rates]
 
 
 def rate_set(dim: int, sources) -> RateSet:

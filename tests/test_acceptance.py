@@ -64,12 +64,13 @@ def test_criterion_02_weyl_algebra():
         wb = weyl_basis(d)
         for k in range(d):
             for l in range(d):
-                dev = np.abs(wb.op(k, l).conj().T - wb.omega ** (k * l) * wb.op(-k, -l)).max()
+                adjoint = wb.omega ** (k * l) * wb.operators[-k, -l]  # W_(-k, -l), mod d
+                dev = np.abs(wb.operators[k, l].conj().T - adjoint).max()
                 worst = max(worst, dev)
                 for r in range(d):
                     for s in range(d):
-                        lhs = wb.op(k, l) @ wb.op(r, s)
-                        rhs = wb.omega ** (k * s) * wb.op(k + r, l + s)
+                        lhs = wb.operators[k, l] @ wb.operators[r, s]
+                        rhs = wb.omega ** (k * s) * wb.operators[(k + r) % d, (l + s) % d]
                         worst = max(worst, np.abs(lhs - rhs).max())
     partition = {frozenset(c) for c in commuting_classes(weyl_basis(3))}
     expected = {
@@ -198,7 +199,7 @@ def test_criterion_07_avg_decoherence_not_p_divisible():
     if witness_ok and witness.kind == "positivity":
         i = int(np.argmin(np.abs(traj.grid - witness.s)))
         j = int(np.argmin(np.abs(traj.grid - witness.t)))
-        v = intermediate_map(traj, i, j).as_channel(family)
+        v = channel_from_eigenvalues(family, intermediate_map(traj, i, j).nus)
         out = v(np.outer(witness.state, witness.state.conj()))
         certified = np.linalg.eigvalsh(out)[0] < -1e-9
     elapsed = time.perf_counter() - start

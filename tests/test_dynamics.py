@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import paulidyn.dynamics as dynamics
-from paulidyn.channel import choi_matrix, cp_margins
+from paulidyn.channel import channel_from_eigenvalues, choi_matrix, cp_margins
 from paulidyn.dynamics import (
     BLP_ROUNDING_FLOOR,
     NOT_APPLICABLE,
@@ -22,14 +22,14 @@ from paulidyn.dynamics import (
     _CSV_BLOCK_ROWS,
     DivisibilityReport,
     Trajectory,
+    _class_eigenvalues,
+    _class_response,
     _overlap_form,
-    _pure_response,
     _screen_pairs,
     _seesaw,
     _trace_distances,
     analyze,
     build_trajectory,
-    channel_at,
     check_blp,
     check_cp_divisible,
     check_cptp_trajectory,
@@ -39,7 +39,6 @@ from paulidyn.dynamics import (
     check_weyl_sufficient,
     evolve_operator,
     find_p_divisibility_witness,
-    generator_apply,
     intermediate_map,
     trajectory_to_csv,
     weyl_rates_from_trajectory,
@@ -48,7 +47,7 @@ from paulidyn.errors import (EvaluationError, GridResolutionError, InternalConsi
                              InvalidInputError, QuadratureError)
 from paulidyn.linalg import random_density_matrix, random_hermitian, random_pure_state, trace_norm
 from paulidyn.mub import axis_blocks, dephase_all, mub_family, spectral_apply
-from paulidyn.ratefn import preset_rates, rate_set
+from paulidyn.ratefn import evaluate, preset_rates, rate_set
 from tests.conftest import ALPHA_TO_PAULI, PAULI
 
 
@@ -215,10 +214,12 @@ class TestBuildTrajectory:
                     exact.append(float(running))
                 assert np.abs(traj.big_gammas[a] - np.array(exact)).max() <= tol
 
-    def test_mus_are_rate_deviations(self):
-        traj = build_trajectory(preset_rates("eternal-qubit"), t_max=1.0, steps=10)
-        total = traj.gammas.sum(axis=0)
-        assert np.abs(traj.mus - (traj.gammas - total)).max() == 0.0
+
+def generator_apply(rates, family, t, rho):
+    """The time-local generator sum_a gamma_a(t) (dephase_a - id) on rho: axis a scaled by
+    mu_a = gamma_a - sum(gamma), the identity part annihilated."""
+    g = np.array([evaluate(r, t) for r in rates.rates])
+    return np.tensordot(g - g.sum(), axis_blocks(family, rho), axes=1)
 
 
 class TestGenerator:
@@ -230,7 +231,7 @@ class TestGenerator:
     def test_qubit_sigma_form(self, family2, rng):
         rates = preset_rates("eternal-qubit")
         t = 0.9
-        g = rates.sample(t)
+        g = [evaluate(r, t) for r in rates.rates]
         rho = random_density_matrix(2, rng)
         sigma_form = sum(
             0.5 * g[a - 1] * (PAULI[ALPHA_TO_PAULI[a]] @ rho @ PAULI[ALPHA_TO_PAULI[a]] - rho)
@@ -241,7 +242,7 @@ class TestGenerator:
     def test_eigen_action(self, family3):
         rates = preset_rates("eternal-general", d=3)
         t = 1.3
-        g = np.array(rates.sample(t))
+        g = np.array([evaluate(r, t) for r in rates.rates])
         mus = g - g.sum()
         for a in range(1, 5):
             u = family3.unitary(a)
@@ -271,7 +272,7 @@ class TestSemigroupOracle:
         gen = superop_matrix(family, coeffs)
         for idx in (7, 23, 40):
             propagator = expm(traj.grid[idx] * gen)
-            ch = channel_at(traj, family, idx)
+            ch = channel_from_eigenvalues(family, traj.lambdas[:, idx])
             for _ in range(3):
                 rho = random_density_matrix(d, rng)
                 via_expm = (propagator @ rho.reshape(-1)).reshape(d, d)
@@ -286,7 +287,7 @@ class TestProductForm:
         traj = build_trajectory(rates, t_max=4.0, steps=80)
         idx = 61
         g = traj.big_gammas[:, idx]
-        ch = channel_at(traj, family3, idx)
+        ch = channel_from_eigenvalues(family3, traj.lambdas[:, idx])
         for order in (range(4), reversed(range(4))):
             rho = random_density_matrix(3, rng)
             out = rho.copy()
@@ -334,7 +335,7 @@ class TestConditionChecks:
         verdict = check_cptp_trajectory(traj)
         assert verdict.holds
         for idx in (0, 7, 20):
-            choi = choi_matrix(channel_at(traj, family2, idx))
+            choi = choi_matrix(channel_from_eigenvalues(family2, traj.lambdas[:, idx]))
             assert choi.is_positive()
 
     def test_cptp_negative_rate_violates_with_choi_agreement(self, family2):
@@ -344,7 +345,7 @@ class TestConditionChecks:
         assert verdict.status == VIOLATED
         assert verdict.first_violation_time == pytest.approx(traj.grid[1])
         for idx in (2, 10):
-            choi = choi_matrix(channel_at(traj, family2, idx))
+            choi = choi_matrix(channel_from_eigenvalues(family2, traj.lambdas[:, idx]))
             assert not choi.is_positive()
 
     def test_cptp_avg_decoherence_holds(self):
@@ -507,7 +508,7 @@ class TestWitnessSearch:
         # certify independently: rebuild the intermediate channel and re-apply
         i = int(np.argmin(np.abs(traj.grid - w.s)))
         j = int(np.argmin(np.abs(traj.grid - w.t)))
-        v = intermediate_map(traj, i, j).as_channel(family3)
+        v = channel_from_eigenvalues(family3, intermediate_map(traj, i, j).nus)
         rho_out = v(np.outer(w.state, w.state.conj()))
         assert np.linalg.eigvalsh(rho_out)[0] == pytest.approx(-w.magnitude, rel=1e-9)
 
@@ -520,7 +521,7 @@ class TestWitnessSearch:
         if w.kind == "trace-norm":
             i = int(np.argmin(np.abs(traj.grid - w.s)))
             j = int(np.argmin(np.abs(traj.grid - w.t)))
-            v = intermediate_map(traj, i, j).as_channel(family2)
+            v = channel_from_eigenvalues(family2, intermediate_map(traj, i, j).nus)
             grown = trace_norm(v(w.operator)) / trace_norm(w.operator)
             assert grown - 1.0 == pytest.approx(w.magnitude, rel=1e-6)
 
@@ -1170,7 +1171,8 @@ class TestSeesawWitnessSearch:
         assert w is not None and w.kind == "positivity"
         assert (w.s, w.t) == pytest.approx((2.05, 2.075))
         i, j = (int(np.argmin(np.abs(traj.grid - x))) for x in (w.s, w.t))
-        out = intermediate_map(traj, i, j).as_channel(family3)(np.outer(w.state, w.state.conj()))
+        v = channel_from_eigenvalues(family3, intermediate_map(traj, i, j).nus)
+        out = v(np.outer(w.state, w.state.conj()))
         assert np.linalg.eigvalsh(out)[0] == pytest.approx(-w.magnitude, rel=1e-9)
         assert w.magnitude > 7e-3
 
@@ -1188,7 +1190,7 @@ class TestSeesawWitnessSearch:
         family = mub_family(d)
         nus = rng.uniform(-1.0, 2.0, (6, d + 1))
         psi, phi = random_pure_state(d, rng, 6), random_pure_state(d, rng, 6)
-        response = _pure_response(family, nus, psi)
+        response = _class_response(_class_eigenvalues(family, nus), psi)
         for c in range(6):
             ref = spectral_apply(family, nus[c], np.outer(psi[c], psi[c].conj()))
             assert np.abs(response[c] - ref).max() <= 1e-15
@@ -1204,7 +1206,7 @@ class TestSeesawWitnessSearch:
             rng = np.random.default_rng(seed)
             nus = rng.uniform(-1.0, 2.0, (6, d + 1))
             psi, phi = random_pure_state(d, rng, 6), random_pure_state(d, rng, 6)
-            response = _pure_response(family, nus, psi)
+            response = _class_response(_class_eigenvalues(family, nus), psi)
             expectation = np.einsum("ci,cij,cj->c", phi.conj(), response, phi).real
             linear = 1.0 / d + (nus * _overlap_form(family, psi, phi)).sum(axis=1)
             for c in range(6):
@@ -1415,8 +1417,7 @@ def test_grouped_search_finds_the_witness_of_the_singleton_search(data, d, kind)
     traj = build_trajectory(rates, t_max=3.0, steps=120)
     assume(len(dynamics._distinct_axes(traj.log_lambdas)[0]) <= d)
     family = mub_family(d)
-    with mock.patch.object(dynamics, "_steps_positive", lambda traj: False), \
-            mock.patch.object(dynamics, "_steps_pencil_positive", lambda traj, family: False):
+    with mock.patch.object(dynamics, "_steps_pencil_positive", lambda traj, family: False):
         grouped = find_p_divisibility_witness(traj, family, seed=3)
         with mock.patch.object(dynamics, "_distinct_axes", _singleton_axes):
             singleton = find_p_divisibility_witness(traj, family, seed=3)
@@ -1452,8 +1453,9 @@ def test_qubit_witness_iff_a_pair_sum_is_negative(params):
 
 
 class TestCertifiedSteps:
-    """Route 2 of the witness search does not run when ``_steps_positive`` certifies every
-    grid step: every grid map is then positive, and route 2 could only find nothing."""
+    """Route 2 of the witness search does not run when the pair sum of ``_step_pair_sums``
+    certifies every grid step: every grid map is then positive, and route 2 could only find
+    nothing."""
 
     #: a d=7 semigroup with one negative rate whose steps the pair-sum bound certifies
     RATES = preset_rates("semigroup", constants=(0.9, 0.7, 1.3, 0.55, 1.8, 0.61, 1.2, -0.3))
@@ -1483,7 +1485,7 @@ class TestCertifiedSteps:
 
         family = mub_family(7)
         traj = build_trajectory(self.RATES, t_max=5.0, steps=400)
-        assert dynamics._steps_positive(traj)
+        assert bool(np.all(dynamics._step_pair_sums(traj)[1] >= 0.0))
         expected = analyze(self.RATES, family)[1].to_json_dict()
         monkeypatch.setattr(dynamics, "_screen_pairs", refuse)
         monkeypatch.setattr(dynamics, "_seesaw", refuse)
@@ -1501,7 +1503,7 @@ class TestCertifiedSteps:
         def refuse(traj):
             raise _StageFailed("steps certified")
 
-        monkeypatch.setattr(dynamics, "_steps_positive", refuse)
+        monkeypatch.setattr(dynamics, "_step_pair_sums", refuse)
         analyze(preset_rates("eternal-qubit"), family2, t_max=2.0, steps=40)
         traj = build_trajectory(preset_rates("avg-decoherence", d=3), t_max=2.0, steps=40)
         find_p_divisibility_witness(traj, family3, attempts=0)
@@ -1529,12 +1531,12 @@ def test_certified_steps_give_the_report_of_the_full_search(data, d, tanh):
         constants = [data.draw(st.floats(-1.0, 1.0, allow_subnormal=False))] + data.draw(
             st.lists(st.floats(0.0, 2.0, allow_subnormal=False), min_size=d, max_size=d))
         rates = preset_rates("semigroup", constants=constants)
-    assume(dynamics._steps_positive(build_trajectory(rates, t_max=3.0, steps=100)))
+    assume(bool(np.all(dynamics._step_pair_sums(
+        build_trajectory(rates, t_max=3.0, steps=100))[1] >= 0.0)))
     family = mub_family(d)
     _, report = analyze(rates, family, t_max=3.0, steps=100)
-    # with both certificates off, route 2 runs: the pencil alone would certify these steps too
-    with mock.patch.object(dynamics, "_steps_positive", lambda traj: False), \
-            mock.patch.object(dynamics, "_steps_pencil_positive", lambda traj, family: False):
+    # with the step certificate off, route 2 runs
+    with mock.patch.object(dynamics, "_steps_pencil_positive", lambda traj, family: False):
         _, searched = analyze(rates, family, t_max=3.0, steps=100)
     assert report.to_json_dict() == searched.to_json_dict()
     assert report.trace_norm_witness is None and report.blp_witness is None

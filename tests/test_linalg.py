@@ -1,34 +1,28 @@
 import json
-import math
 
 import numpy as np
 import pytest
 
-from paulidyn.channel import (apply, channel_from_probabilities, weyl_channel_apply,
-                              weyl_channel_from_pauli)
+from paulidyn.channel import apply, channel_from_probabilities
 from paulidyn.dynamics import (build_trajectory, check_blp, check_frobenius_monotone,
                                check_weyl_sufficient, evolve_operator,
-                               find_p_divisibility_witness, generator_apply,
-                               weyl_rates_from_trajectory)
+                               find_p_divisibility_witness, weyl_rates_from_trajectory)
 from paulidyn.errors import DimensionError, InvalidInputError, NonHermitianError
 from paulidyn.linalg import (
     KrausMap,
     complex_pairs,
-    dagger,
-    frobenius_norm,
     hermitian_check,
-    matrices_close,
     min_eigenvalue_hermitian,
     random_complex_matrix,
     random_density_matrix,
     random_hermitian,
     random_pure_state,
-    random_unitary,
     trace_norm,
 )
 from paulidyn.mub import decoherence_channel, dephase_all, mub_family, weyl_basis
 from paulidyn.ratefn import preset_rates
 from tests.conftest import PAULI
+from tests.helpers import matrices_close, random_unitary
 
 
 class TestTraceNorm:
@@ -54,17 +48,6 @@ class TestTraceNorm:
             trace_norm(np.zeros((2, 3)))
 
 
-class TestFrobeniusNorm:
-    def test_identity_d3(self):
-        assert frobenius_norm(np.eye(3)) == pytest.approx(math.sqrt(3.0), abs=1e-14)
-
-    def test_sigma_x(self):
-        assert frobenius_norm(PAULI[1]) == pytest.approx(math.sqrt(2.0), abs=1e-14)
-
-    def test_zero(self):
-        assert frobenius_norm(np.zeros((4, 4))) == 0.0
-
-
 class TestMinEigenvalue:
     def test_diag(self):
         assert min_eigenvalue_hermitian(np.diag([1.0, -1.0])) == pytest.approx(-1.0, abs=1e-14)
@@ -87,13 +70,10 @@ class TestRingOps:
     def test_sigma_x_squares_to_identity(self):
         assert matrices_close(PAULI[1] @ PAULI[1], np.eye(2))
 
-    def test_adjoint_of_i_sigma_y(self):
-        assert matrices_close(dagger(1j * PAULI[2]), -1j * PAULI[2])
-
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_weyl_01_unitary(self, d):
-        w = weyl_basis(d).op(0, 1)
-        assert matrices_close(dagger(w) @ w, np.eye(d))
+        w = weyl_basis(d).operators[0, 1]
+        assert matrices_close(w.conj().T @ w, np.eye(d))
 
     def test_matrices_close_dimension_mismatch(self):
         with pytest.raises(DimensionError):
@@ -116,7 +96,7 @@ def test_norm_ordering_random(d, rng):
     for _ in range(50):
         x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         tn = trace_norm(x)
-        fn = frobenius_norm(x)
+        fn = np.linalg.norm(x)
         assert tn >= fn - 1e-12
         assert fn >= 0.0
 
@@ -195,13 +175,10 @@ def d3_operator_entry_points():
     rates = preset_rates("eternal-general", d=3)
     traj = build_trajectory(rates, t_max=1.0, steps=10)
     ch = channel_from_probabilities(family, [0.6, 0.1, 0.1, 0.1, 0.1])
-    weyl = weyl_channel_from_pauli(ch)
     return {
         "channel.apply": lambda x: apply(ch, x),
-        "channel.weyl_channel_apply": lambda x: weyl_channel_apply(weyl, x),
         "linalg.KrausMap": decoherence_channel(family, 1),
         "mub.dephase_all": lambda x: dephase_all(family, x),
-        "dynamics.generator_apply": lambda x: generator_apply(rates, family, 0.5, x),
         "dynamics.evolve_operator": lambda x: evolve_operator(traj, family, x),
         "dynamics.check_blp": lambda x: check_blp(traj, family, [(x, np.eye(3) / 3)]),
     }
@@ -217,8 +194,8 @@ _NAN_D3[0, 1] = np.nan
     (_NAN_D3, InvalidInputError),
 ], ids=["wrong-size", "non-square", "nan"])
 @pytest.mark.parametrize("entry", [
-    "channel.apply", "channel.weyl_channel_apply", "linalg.KrausMap", "mub.dephase_all",
-    "dynamics.generator_apply", "dynamics.evolve_operator", "dynamics.check_blp",
+    "channel.apply", "linalg.KrausMap", "mub.dephase_all", "dynamics.evolve_operator",
+    "dynamics.check_blp",
 ])
 def test_operator_entry_points_check_their_input(d3_operator_entry_points, entry, bad, error):
     call = d3_operator_entry_points[entry]
@@ -234,8 +211,6 @@ _QUBIT_PAIR = [(np.eye(2) / 2, np.diag([1.0, 0.0]))]
 @pytest.mark.parametrize("entry, error", [
     (lambda rates, traj, family: check_blp(traj, family, _QUBIT_PAIR), DimensionError),
     (lambda rates, traj, family: check_blp(traj, family, 4), DimensionError),
-    (lambda rates, traj, family: generator_apply(rates, family, 0.5, np.eye(2) / 2),
-     DimensionError),
     (lambda rates, traj, family: evolve_operator(traj, family, np.eye(2) / 2), DimensionError),
     (lambda rates, traj, family: check_frobenius_monotone(traj, family), DimensionError),
     (lambda rates, traj, family: find_p_divisibility_witness(traj, family), DimensionError),
@@ -243,7 +218,7 @@ _QUBIT_PAIR = [(np.eye(2) / 2, np.diag([1.0, 0.0]))]
     (lambda rates, traj, family: check_weyl_sufficient(weyl_rates_from_trajectory(traj),
                                                       traj.grid[:-1], traj.dim),
      InvalidInputError),
-], ids=["check_blp-explicit", "check_blp-count", "generator_apply", "evolve_operator",
+], ids=["check_blp-explicit", "check_blp-count", "evolve_operator",
         "check_frobenius_monotone", "find_p_divisibility_witness", "check_weyl_sufficient-grid"])
 def test_entry_points_reject_another_dimension(family2, entry, error):
     """A d=2 family (or an operator of its size) against d=3 rates and their trajectory."""

@@ -7,7 +7,7 @@ from paulidyn.errors import (
     UnsupportedDimensionError,
 )
 from paulidyn.channel import probabilities_from_eigenvalues
-from paulidyn.linalg import matrices_close, random_complex_matrix, random_density_matrix
+from paulidyn.linalg import random_complex_matrix, random_density_matrix
 from paulidyn.mub import (
     axis_blocks,
     class_sums,
@@ -23,6 +23,7 @@ from paulidyn.mub import (
     weyl_coefficients,
 )
 from tests.conftest import ALPHA_TO_PAULI, PAULI
+from tests.helpers import matrices_close
 
 
 def test_is_prime():
@@ -32,22 +33,22 @@ def test_is_prime():
 class TestWeylBasis:
     def test_d2_matches_paulis(self):
         wb = weyl_basis(2)
-        assert matrices_close(wb.op(0, 0), np.eye(2))
-        assert matrices_close(wb.op(1, 0), PAULI[3])  # Z
-        assert matrices_close(wb.op(0, 1), PAULI[1])  # X
-        assert matrices_close(wb.op(1, 1), PAULI[1] @ PAULI[3])  # XZ = -i sigma_y
+        assert matrices_close(wb.operators[0, 0], np.eye(2))
+        assert matrices_close(wb.operators[1, 0], PAULI[3])  # Z
+        assert matrices_close(wb.operators[0, 1], PAULI[1])  # X
+        assert matrices_close(wb.operators[1, 1], PAULI[1] @ PAULI[3])  # XZ = -i sigma_y
 
     def test_d3_index_arithmetic(self):
         wb = weyl_basis(3)
         # k=0 row: W_01 W_02 = omega^0 W_00 = identity
-        assert matrices_close(wb.op(0, 1) @ wb.op(0, 2), np.eye(3))
+        assert matrices_close(wb.operators[0, 1] @ wb.operators[0, 2], np.eye(3))
 
     @pytest.mark.parametrize("d", [2, 3, 5, 7])
     def test_nontrivial_operators_traceless(self, d):
         wb = weyl_basis(d)
         for k in range(d):
             for l in range(d):
-                tr = np.trace(wb.op(k, l))
+                tr = np.trace(wb.operators[k, l])
                 if (k, l) == (0, 0):
                     assert tr == pytest.approx(d)
                 else:
@@ -59,12 +60,13 @@ class TestWeylBasis:
         worst = 0.0
         for k in range(d):
             for l in range(d):
-                dev = np.abs(wb.op(k, l).conj().T - wb.omega ** (k * l) * wb.op(-k, -l)).max()
+                adjoint = wb.omega ** (k * l) * wb.operators[-k, -l]  # W_(-k, -l), mod d
+                dev = np.abs(wb.operators[k, l].conj().T - adjoint).max()
                 worst = max(worst, dev)
                 for r in range(d):
                     for s in range(d):
-                        lhs = wb.op(k, l) @ wb.op(r, s)
-                        rhs = wb.omega ** (k * s) * wb.op(k + r, l + s)
+                        lhs = wb.operators[k, l] @ wb.operators[r, s]
+                        rhs = wb.omega ** (k * s) * wb.operators[(k + r) % d, (l + s) % d]
                         worst = max(worst, np.abs(lhs - rhs).max())
         assert worst <= 1e-13
 
@@ -112,8 +114,8 @@ class TestCommutingClasses:
             # brute-force pairwise commutation inside the class
             for (k1, l1) in cls:
                 for (k2, l2) in cls:
-                    a = wb.op(k1, l1) @ wb.op(k2, l2)
-                    b = wb.op(k2, l2) @ wb.op(k1, l1)
+                    a = wb.operators[k1, l1] @ wb.operators[k2, l2]
+                    b = wb.operators[k2, l2] @ wb.operators[k1, l1]
                     assert np.abs(a - b).max() <= 1e-12
         assert len(seen) == d * d - 1
 
@@ -193,7 +195,7 @@ class TestMubFamily:
         classes = commuting_classes(wb)
         for a, cls in enumerate(classes):
             for (k, l) in cls:
-                w = wb.op(k, l)
+                w = wb.operators[k, l]
                 for vec in fam.bases[a]:
                     image = w @ vec
                     ev = vec.conj() @ image
@@ -404,18 +406,18 @@ class TestClosedFormFamily:
     def test_vector_l_has_eigenvalue_zeta_omega_l(self, d):
         wb, fam, zeta = weyl_basis(d), mub_family(d), self.zeta(d)
         for k in range(d):
-            seed = wb.op(k, 1)  # X Z^k
+            seed = wb.operators[k, 1]  # X Z^k
             for l, v in enumerate(fam.basis_vectors(k + 2)):
                 assert np.abs(seed @ v - zeta[k] * wb.omega**l * v).max() <= 1e-15
         for l, v in enumerate(fam.basis_vectors(1)):
-            assert np.abs(wb.op(1, 0) @ v - wb.omega**l * v).max() <= 1e-15
+            assert np.abs(wb.operators[1, 0] @ v - wb.omega**l * v).max() <= 1e-15
 
     @pytest.mark.parametrize("d", PRIMES_TO_31)
     def test_unitaries_are_seeds_over_zeta(self, d):
         wb, fam, zeta = weyl_basis(d), mub_family(d), self.zeta(d)
-        assert np.abs(fam.unitary(1) - wb.op(1, 0)).max() <= 1e-15
+        assert np.abs(fam.unitary(1) - wb.operators[1, 0]).max() <= 1e-15
         for k in range(d):
-            assert np.abs(fam.unitary(k + 2) - wb.op(k, 1) / zeta[k]).max() <= 1e-15
+            assert np.abs(fam.unitary(k + 2) - wb.operators[k, 1] / zeta[k]).max() <= 1e-15
 
     @pytest.mark.parametrize("d", PRIMES_TO_31)
     def test_unitaries_are_the_weyl_seeds_bit_for_bit(self, d):

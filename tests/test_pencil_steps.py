@@ -3,7 +3,7 @@
 With s = (psi (x) phi + phi (x) psi)/sqrt(2), sum_a dG_a Q_a(psi, phi) = <s|sum_a dG_a M_a|s>/2
 for M_a = sum_l P_al (x) P_al, so a step whose pencil has no negative eigenvalue on Sym^2
 is a positive map.  ``_steps_pencil_positive`` checks the Weyl-reduced block on the steps
-that the pair sum of ``_steps_positive`` leaves open; when every step passes, route 2 of
+that the pair sum of ``_step_pair_sums`` leaves open; when every step passes, route 2 of
 ``find_p_divisibility_witness`` does not run.
 """
 
@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 
 import paulidyn.dynamics as dynamics
 from paulidyn.dynamics import (
+    _step_pair_sums,
     _steps_pencil_positive,
-    _steps_positive,
     _sym_pencil_blocks,
     analyze,
     build_trajectory,
@@ -131,10 +131,9 @@ class TestPencilSkip:
         rates = preset_rates("semigroup", constants=constants)
         family = mub_family(len(constants) - 1)
         traj = build_trajectory(rates, t_max=5.0, steps=400)
-        assert not _steps_positive(traj)
+        assert not bool(np.all(_step_pair_sums(traj)[1] >= 0.0))
         assert _steps_pencil_positive(traj, family)
-        with mock.patch.object(dynamics, "_steps_positive", lambda traj: False), \
-                mock.patch.object(dynamics, "_steps_pencil_positive", lambda traj, fam: False):
+        with mock.patch.object(dynamics, "_steps_pencil_positive", lambda traj, fam: False):
             expected = analyze(rates, family)[1].to_json_dict()
         monkeypatch.setattr(dynamics, "_screen_pairs", refuse)
         monkeypatch.setattr(dynamics, "_seesaw", refuse)
@@ -143,10 +142,10 @@ class TestPencilSkip:
         assert report.trace_norm_witness is None and report.blp_witness is None
 
     def test_not_computed_when_the_pair_sum_certifies(self, monkeypatch):
-        def refuse(traj, family):
+        def refuse(family):
             raise _RouteTwoRan("pencil ran")
 
-        monkeypatch.setattr(dynamics, "_steps_pencil_positive", refuse)
+        monkeypatch.setattr(dynamics, "_sym_pencil_blocks", refuse)
         rates = preset_rates("semigroup", constants=(0.9, 0.7, 1.3, 0.55, 1.8, 0.61, 1.2, -0.3))
         analyze(rates, mub_family(7))
         with pytest.raises(_RouteTwoRan):
@@ -175,8 +174,7 @@ def test_pencil_certified_steps_give_the_report_of_the_full_search(data, d, tanh
     traj = build_trajectory(rates, t_max=3.0, steps=100)
     assume(_steps_pencil_positive(traj, family))
     _, report = analyze(rates, family, t_max=3.0, steps=100)
-    with mock.patch.object(dynamics, "_steps_positive", lambda traj: False), \
-            mock.patch.object(dynamics, "_steps_pencil_positive", lambda traj, fam: False):
+    with mock.patch.object(dynamics, "_steps_pencil_positive", lambda traj, fam: False):
         _, searched = analyze(rates, family, t_max=3.0, steps=100)
     assert report.to_json_dict() == searched.to_json_dict()
     assert report.trace_norm_witness is None and report.blp_witness is None

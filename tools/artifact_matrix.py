@@ -38,6 +38,10 @@ d=3, each given by ``--lambdas`` and by ``--probs``::
 
     channel-<case> <sha256 of channel_d<d>.json>
 
+and last ``paulidyn presets list``, the one command that writes no file::
+
+    presets-list <sha256 of its stdout>
+
 A case that exits non-zero prints ``exit=<code> <sha256 of its stderr>`` in
 place of the hashes, so its error message is pinned as well.
 Whether two checkouts write byte-identical artifacts is then one ``diff``::
@@ -218,12 +222,15 @@ def report_fields(path: Path) -> str:
 
 
 def run_case(argv: list, outputs=("report.json", "trajectory.csv"), read=sha256) -> str:
+    """The ``read`` of each output file, or with no outputs the sha256 of stdout."""
     with tempfile.TemporaryDirectory() as tmp:
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main([*argv, f"--out={tmp}"])
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*argv, f"--out={tmp}"] if outputs else argv)
         if code != 0:
             return f"exit={code} {hashlib.sha256(err.getvalue().encode()).hexdigest()}"
+        if not outputs:
+            return hashlib.sha256(out.getvalue().encode()).hexdigest()
         return " ".join(read(Path(tmp) / name) for name in outputs)
 
 
@@ -244,6 +251,7 @@ def run_matrix(fields: bool = False) -> None:
         argv = ["channel", f"--d={d}", f"--{flag}={values}"]
         print(f"channel-d{d}-{flag}-{values} {run_case(argv, (f'channel_d{d}.json',))}",
               flush=True)
+    print(f"presets-list {run_case(['presets', 'list'], ())}", flush=True)
 
 
 if __name__ == "__main__":
