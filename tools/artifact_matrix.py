@@ -4,9 +4,9 @@ Runs the command in-process for every case of the ROADMAP preset matrix
 (eternal-qubit; eternal-general, avg-decoherence and four semigroup constant
 sets at d in {2, 3, 5, 7}; eternal-general and avg-decoherence at d in
 {11, 13}), avg-decoherence at d=31 (the widest trajectory.csv, with tied and
-constant columns), a few d=2 tanh rate sets, one d=3 and one d=5 tanh set with
-a BLP witness, each also with ``--blp-pairs=20`` (the antipodal pairs, then
-random state pairs; at d=3 the witness comes from a random pair), eternal-general
+constant columns), eternal-general at d=31 (the widest pure-state see-saw), a
+few d=2 tanh rate sets, one d=3 and one d=5 tanh set with a BLP witness,
+each also with ``--blp-pairs=20`` (the antipodal pairs, then random state pairs; at d=3 the witness comes from a random pair), eternal-general
 at d=3 and d=5 with ``--attempts=0`` (route 1 alone) and with
 ``--refine-iters=0``, the d=5 tanh set with ``--blp-pairs=0``, a d=23 semigroup whose only rising eigenvalue is
 lambda_24 (``semigroup-axis24-d23``: a BLP witness on the last axis, which a probe
@@ -135,6 +135,7 @@ def cases():
             yield (f"semigroup-{label}-d{d}",
                    ["--preset=semigroup", "--c=" + ",".join(repr(c) for c in values)])
     yield "avg-decoherence-d31", ["--preset=avg-decoherence", "--d=31"]
+    yield "eternal-general-d31", ["--preset=eternal-general", "--d=31"]
     # large rates: lambda underflows to 0 for t > ~7.5
     yield "semigroup-large-d2-t10", ["--preset=semigroup", "--c=50,50,50", "--t-max=10"]
     for k, params in enumerate(TANH_SETS, 1):
