@@ -47,8 +47,8 @@ from .errors import (
     InvalidInputError,
     QuadratureError,
 )
-from .linalg import (as_square_matrix, complex_pairs, hermitian_check, random_density_matrix,
-                     random_hermitian, random_pure_state, trace_norm)
+from .linalg import (as_square_matrix, complex_pairs, hermitian_check, lowest_eigenpairs,
+                     random_density_matrix, random_hermitian, random_pure_state, trace_norm)
 from .mub import (MubFamily, axis_blocks, class_sums, from_weyl_coefficients, mub_family,
                   spectral_apply, weyl_coefficients)
 from .ratefn import RateSet, running_integral
@@ -71,6 +71,9 @@ CLOSED_FORM_MAX_DIM = 3
 SCREEN_GRID = 401
 #: seesaw chains the witness search refines at once
 SEESAW_CHAINS = 12
+#: from this d on, a see-saw step warm-starts :func:`lowest_eigenpairs` (one certified
+#: shifted solve per chain) instead of a full ``eigh``; below it ``eigh`` is faster
+SEESAW_SOLVE_DIM = 11
 #: witness-search values this many ulps of their scale apart count as tied
 TIE_ULPS = 64
 #: elements in the largest temporary of one stack of probe operators or grid pairs
@@ -589,9 +592,10 @@ def _pair_chunks(log_lam: np.ndarray, pair_i: np.ndarray, pair_j: np.ndarray, wi
     """Yield (offset, nu rows) for the chunks of the grid pairs (i, j) that ``_stacks``
     cuts for a caller whose widest temporary holds ``width`` elements per pair."""
     for part in _stacks(len(pair_i), width):
-        # np.take copies whole rows; int32 fancy indexing is 2-3x slower
-        nus = np.exp(np.take(log_lam, pair_j[part], 0) - np.take(log_lam, pair_i[part], 0))
-        yield part.start, nus
+        # np.take copies whole rows; int32 fancy indexing is 2-3x slower.  No name keeps
+        # the chunk here, so a caller that drops it frees it before the next is made
+        yield part.start, np.exp(np.take(log_lam, pair_j[part], 0)
+                                 - np.take(log_lam, pair_i[part], 0))
 
 
 def _best_pairs(log_lam: np.ndarray, pair_i: np.ndarray, pair_j: np.ndarray, q: np.ndarray,
@@ -638,12 +642,19 @@ def _seesaw(family: MubFamily, nus: np.ndarray, psi: np.ndarray, phi: np.ndarray
     A step sets phi, then psi, to the lowest eigenvector of the other's image.
     Phi is self-adjoint (real nu), so both halves lower the same form.  Stops
     after ``steps`` steps, or once no row gains more than its rounding band.
+    Below d = SEESAW_SOLVE_DIM each half-step is a full ``eigh``.  From it on,
+    :func:`lowest_eigenpairs` starts from the half's previous vector: one shifted
+    solve, kept where a Cholesky factorization certifies its Rayleigh quotient
+    within m = EIG_MARGIN x (mean absolute row sum) of the least eigenvalue, and
+    ``eigh`` on the rows where it does not or whose warm vector is too far off for
+    one solve.  So each half lowers the form to within m of what ``eigh`` gives.
     """
     value, band, eig = np.inf, _rounding_band(nus), _class_eigenvalues(family, nus)
+    warm = family.dim >= SEESAW_SOLVE_DIM
     for _ in range(steps):
-        phi = np.linalg.eigh(_class_response(eig, psi))[1][..., 0]
-        low, vecs = np.linalg.eigh(_class_response(eig, phi))
-        psi, settled, value = vecs[..., 0], np.all(low[:, 0] >= value - band), low[:, 0]
+        phi = lowest_eigenpairs(_class_response(eig, psi), phi if warm else None)[1]
+        low, psi = lowest_eigenpairs(_class_response(eig, phi), psi if warm else None)
+        settled, value = np.all(low >= value - band), low
         if settled:
             break
     return psi, phi
@@ -662,7 +673,10 @@ def find_p_divisibility_witness(traj: Trajectory, family: MubFamily,
       ``attempts`` seeded start pairs (psi, phi) finds its best non-CP grid
       pair by the linear form <phi|Phi(psi psi^dag)|phi> = 1/d + nu . q; the
       SEESAW_CHAINS best chains take batched see-saw steps, then move to the
-      pair where their states do best, until none moves.  The screen, these
+      pair where their states do best, until none moves.  From d =
+      SEESAW_SOLVE_DIM on, a step's halves are warm-started certified solves
+      (see :func:`_seesaw`), each within m = EIG_MARGIN x (mean absolute row
+      sum) of an ``eigh`` step, with ``eigh`` as the fallback.  The screen, these
       scoring passes and the final tie scan take nu on the u <= d+1 distinct
       lambda rows of ``_distinct_axes`` only.  ``refine_iters`` caps the
       steps per round and the rounds; ``attempts = 0`` skips route 2.
@@ -733,8 +747,10 @@ def find_p_divisibility_witness(traj: Trajectory, family: MubFamily,
         nus = np.exp(log_lam[pair_j[chain]] - log_lam[pair_i[chain]])[:, group]
         q = _overlap_form(family, psi, phi)
         c = int(np.argmin((nus * q).sum(axis=1)))
-        vals = np.concatenate([rows @ (q[c] @ fold) for _, rows
-                               in _pair_chunks(log_lam, pair_i, pair_j, len(axes))])
+        vals, form = np.empty(len(pair_i)), q[c] @ fold
+        for lo, rows in _pair_chunks(log_lam, pair_i, pair_j, len(axes)):
+            vals[lo:lo + len(rows)] = rows @ form
+            del rows  # before the next chunk is made
         k = int(np.flatnonzero(vals <= vals.min() + _rounding_band(nus[c]))[0])
         gi, gj, best_psi = int(pair_i[k]), int(pair_j[k]), psi[c]
         v_rho = spectral_apply(family, intermediate_map(traj, gi, gj).nus,

@@ -5,46 +5,51 @@ Runs the command in-process for every case of the ROADMAP preset matrix
 sets at d in {2, 3, 5, 7}; eternal-general and avg-decoherence at d in
 {11, 13}), avg-decoherence at d=31 (the widest trajectory.csv, with tied and
 constant columns), eternal-general at d=31 (the widest pure-state see-saw), a
-few d=2 tanh rate sets, one d=3 and one d=5 tanh set with a BLP witness,
-each also with ``--blp-pairs=20`` (the antipodal pairs, then random state pairs; at d=3 the witness comes from a random pair), eternal-general
-at d=3 and d=5 with ``--attempts=0`` (route 1 alone) and with
-``--refine-iters=0``, the d=5 tanh set with ``--blp-pairs=0``, a d=23 semigroup whose only rising eigenvalue is
-lambda_24 (``semigroup-axis24-d23``: a BLP witness on the last axis, which a probe
-of the first 20 bases misses), the d=3 tanh set on a 10^4-step grid (every CSV
-column distinct), 10^4-step eternal-general (d=3) and avg-decoherence (d=7)
-grids, avg-decoherence's d=5 rates with the unit rates written five ways
-(``1``, ``1.0``, ``2-1``, ...) and with one of them one ulp above 1, one d=3
-rate with a 0.02-wide dip (a non-positive intermediate map between two nearby
-grid times), one d=3 rate whose dip lies inside the first grid step
-(``deep-dip-d3``: a grid-resolution error, exit 3), one d=3 set whose eigenvalue
-ratio overflows and one whose largest ratio is finite but within a factor of 4
-of the double range, two semigroups whose rate integrals leave the double range,
-two semigroups with a rate just below zero (inside the inequality slack), one
-semigroup whose trajectory.csv holds exact 17-digit ties and values
+few d=2 tanh rate sets, one d=3 and one d=5 tanh set with a BLP witness, each
+also with ``--blp-pairs=20`` (the antipodal pairs, then random state pairs; at
+d=3 the witness comes from a random pair), eternal-general at d=3 and d=5 with
+``--attempts=0`` (route 1 alone) and with ``--refine-iters=0``, the d=5 tanh
+set with ``--blp-pairs=0``, a d=23 semigroup whose only rising eigenvalue is
+lambda_24 (``semigroup-axis24-d23``: a BLP witness on the last axis, which a
+probe of the first 20 bases misses), the d=3 tanh set on a 10^4-step grid
+(every CSV column distinct), 10^4-step eternal-general (d=3) and
+avg-decoherence (d=7) grids, avg-decoherence's d=5 rates with the unit rates
+written five ways (``1``, ``1.0``, ``2-1``, ...) and with one of them one ulp
+above 1, one d=3 rate with a 0.02-wide dip (a non-positive intermediate map
+between two nearby grid times), one d=3 rate whose dip lies inside the first
+grid step (``deep-dip-d3``: a grid-resolution error, exit 3), one d=3 set whose
+eigenvalue ratio overflows and one whose largest ratio is finite but within a
+factor of 4 of the double range, two semigroups whose rate integrals leave the
+double range, two semigroups with a rate just below zero (inside the inequality
+slack), one semigroup whose trajectory.csv holds exact 17-digit ties and values
 on both sides of the switch to exponent notation, three d=2 rate sets that fail
 to evaluate (ln of a nonpositive value at a grid time, division by zero, and
 the literal 1e999) and four that fail to parse (an unexpected character, an
 unclosed parenthesis, a wrong argument count and 1000 nested parentheses), each
 with seeds 42 and 7, and prints one line per case::
 
-    <case> <sha256 of report.json> <sha256 of trajectory.csv>
+    <case> <sha256 of report.json> <sha256 of trajectory.csv> <sha256 of stdout>
 
 It then runs ``paulidyn mub`` for d in {2, 3, 5, 7, 11, 13, 31} and prints::
 
-    mub-d<d> <sha256 of mub_d<d>.json> <sha256 of mub_d<d>_overlaps.csv>
+    mub-d<d> <sha256 of mub_d<d>.json> <sha256 of mub_d<d>_overlaps.csv> <sha256 of stdout>
 
 and ``paulidyn channel --out`` for one CP and one non-CP channel at d=2 and at
 d=3, each given by ``--lambdas`` and by ``--probs``::
 
-    channel-<case> <sha256 of channel_d<d>.json>
+    channel-<case> <sha256 of channel_d<d>.json> <sha256 of stdout>
 
 and last ``paulidyn presets list``, the one command that writes no file::
 
-    presets-list <sha256 of its stdout>
+    presets-list <sha256 of stdout>
 
-A case that exits non-zero prints ``exit=<code> <sha256 of its stderr>`` in
-place of the hashes, so its error message is pinned as well.
-Whether two checkouts write byte-identical artifacts is then one ``diff``::
+The printed text is hashed with its ``--out`` directory written as ``<out>``, so
+the summary of ``dynamics`` and the margins that ``channel`` prints (not all of
+them are in its file) are pinned as well.  A case that exits non-zero prints
+``exit=<code> <sha256 of its stderr>`` in place of the hashes, so its error
+message is pinned too.
+Whether two checkouts write byte-identical artifacts and print the same text is
+then one ``diff``::
 
     PYTHONPATH=src python3 tools/artifact_matrix.py > after.txt
     PYTHONPATH=<other checkout>/src python3 tools/artifact_matrix.py > before.txt
@@ -222,17 +227,21 @@ def report_fields(path: Path) -> str:
     return "\n".join(lines)
 
 
-def run_case(argv: list, outputs=("report.json", "trajectory.csv"), read=sha256) -> str:
-    """The ``read`` of each output file, or with no outputs the sha256 of stdout."""
+def run_case(argv: list, outputs=("report.json", "trajectory.csv"), read=sha256,
+             stdout: bool = True) -> str:
+    """The ``read`` of each output file, then, with ``stdout``, the sha256 of stdout with
+    the output directory written as ``<out>``."""
     with tempfile.TemporaryDirectory() as tmp:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main([*argv, f"--out={tmp}"] if outputs else argv)
         if code != 0:
             return f"exit={code} {hashlib.sha256(err.getvalue().encode()).hexdigest()}"
-        if not outputs:
-            return hashlib.sha256(out.getvalue().encode()).hexdigest()
-        return " ".join(read(Path(tmp) / name) for name in outputs)
+        digests = [read(Path(tmp) / name) for name in outputs]
+        if stdout:
+            text = out.getvalue().replace(tmp, "<out>")
+            digests.append(hashlib.sha256(text.encode()).hexdigest())
+        return " ".join(digests)
 
 
 def run_matrix(fields: bool = False) -> None:
@@ -240,8 +249,8 @@ def run_matrix(fields: bool = False) -> None:
     for name, argv in cases():
         for seed in SEEDS:
             argv_seed = ["dynamics", *argv, f"--seed={seed}"]
-            text = run_case(argv_seed, ("report.json",), report_fields) if fields else \
-                run_case(argv_seed)
+            text = run_case(argv_seed, ("report.json",), report_fields, stdout=False) \
+                if fields else run_case(argv_seed)
             print("\n".join(f"{name}-s{seed} {line}" for line in text.split("\n")), flush=True)
     if fields:
         return
