@@ -7,9 +7,10 @@ sets at d in {2, 3, 5, 7}; eternal-general and avg-decoherence at d in
 constant columns), eternal-general at d=31 (the widest pure-state see-saw), a
 few d=2 tanh rate sets, one d=3 and one d=5 tanh set with a BLP witness, each
 also with ``--blp-pairs=20`` (the antipodal pairs, then random state pairs; at
-d=3 the witness comes from a random pair), eternal-general at d=3 and d=5 with
-``--attempts=0`` (route 1 alone) and with ``--refine-iters=0``, the d=5 tanh
-set with ``--blp-pairs=0``, a d=23 semigroup whose only rising eigenvalue is
+d=3 the witness comes from a random pair), the first and third d=2 tanh
+sets and eternal-general at d=13 with ``--blp-pairs=20`` too, eternal-general at
+d=3 and d=5 with ``--attempts=0`` (route 1 alone) and with ``--refine-iters=0``,
+the d=5 tanh set with ``--blp-pairs=0``, a d=23 semigroup whose only rising eigenvalue is
 lambda_24 (``semigroup-axis24-d23``: a BLP witness on the last axis, which a
 probe of the first 20 bases misses), the d=3 tanh set on a 10^4-step grid
 (every CSV column distinct), 10^4-step eternal-general (d=3) and
@@ -151,6 +152,11 @@ def cases():
     yield ("tanh-random-pair-d3-blp-pairs20",
            ["--d=3", "--blp-pairs=20"] + tanh_argv(TANH_RANDOM_PAIR_D3))
     yield "tanh-blp-d5-blp-pairs20", ["--d=5", "--blp-pairs=20"] + tanh_argv(TANH_BLP_D5)
+    # the opt-in count at d=2 (tanh1 has no back-flow, tanh3 a rise at t=1.375) and d=13
+    for k in (1, 3):
+        yield f"tanh{k}-d2-blp-pairs20", ["--d=2", "--blp-pairs=20"] + tanh_argv(TANH_SETS[k - 1])
+    yield ("eternal-general-d13-blp-pairs20",
+           ["--preset=eternal-general", "--d=13", "--blp-pairs=20"])
     # zero budgets: route 1 alone, an unrefined see-saw, no BLP probe
     for d in (3, 5):
         for flag in ("attempts", "refine-iters"):
