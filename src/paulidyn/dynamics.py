@@ -64,9 +64,6 @@ TOL_WITNESS_NORM = 1e-9
 #: an axis block of a BLP pair below this many ulps of d * ||delta||_F is the
 #: rounding residue of axis_blocks and counts as zero
 BLP_ROUNDING_FLOOR = 64
-#: the largest d whose BLP trace distances have a closed form (at most three nonzero
-#: eigenvalues); above it the distances of pairs on several axes go through eigvalsh
-CLOSED_FORM_MAX_DIM = 3
 #: the witness search pairs at most this many grid times with each other
 SCREEN_GRID = 401
 #: seesaw chains the witness search refines at once
@@ -583,19 +580,25 @@ def _screen_pairs(log_lam: np.ndarray, group=None) -> tuple:
     if n + 1 > SCREEN_GRID:  # every adjacent pair (i, i+1) not in yet, first among those from i
         adj = np.setdiff1d(np.arange(n, dtype=np.int32), sub[:-1][np.diff(sub) == 1])
         pairs = np.insert(pairs, np.searchsorted(pairs[0], adj), [adj, adj + 1], axis=1)
-    non_cp = np.concatenate([cp_margins(nus.T[group])[1] < 0  # sum across rows
-                             for _, nus in _pair_chunks(log_lam, *pairs, len(group))])
+    non_cp = np.empty(pairs.shape[1], dtype=bool)
+    for lo, nus in _pair_chunks(log_lam, *pairs, len(group) + 2):  # expanded rows, 2 margins
+        non_cp[lo:lo + len(nus)] = cp_margins(nus.T[group])[1] < 0  # sum across rows
+        del nus
     return pairs[0, non_cp], pairs[1, non_cp]
 
 
 def _pair_chunks(log_lam: np.ndarray, pair_i: np.ndarray, pair_j: np.ndarray, width: int):
-    """Yield (offset, nu rows) for the chunks of the grid pairs (i, j) that ``_stacks``
-    cuts for a caller whose widest temporary holds ``width`` elements per pair."""
-    for part in _stacks(len(pair_i), width):
-        # np.take copies whole rows; int32 fancy indexing is 2-3x slower.  No name keeps
-        # the chunk here, so a caller that drops it frees it before the next is made
-        yield part.start, np.exp(np.take(log_lam, pair_j[part], 0)
-                                 - np.take(log_lam, pair_i[part], 0))
+    """Yield (offset, nu rows) for chunks of the grid pairs (i, j), cut by ``_stacks`` for
+    what is held per pair: the chunk's u columns, and either the u ``np.take`` rows of i
+    with their intp index copy while it is built or the caller's ``width`` elements.  The
+    caller drops the chunk, and what it made from it, before asking for the next."""
+    u = log_lam.shape[1]
+    for part in _stacks(len(pair_i), u + max(u + 1, width)):
+        # np.take copies whole rows; int32 fancy indexing is 2-3x slower
+        nus = np.take(log_lam, pair_j[part], 0)
+        nus -= np.take(log_lam, pair_i[part], 0)
+        yield part.start, np.exp(nus, out=nus)
+        del nus  # freed here, as the caller has dropped it, before the next is made
 
 
 def _best_pairs(log_lam: np.ndarray, pair_i: np.ndarray, pair_j: np.ndarray, q: np.ndarray,
@@ -603,11 +606,12 @@ def _best_pairs(log_lam: np.ndarray, pair_i: np.ndarray, pair_j: np.ndarray, q: 
     """Per row of ``q``, the least nu . q + 1/d over the pairs and the first pair reaching it;
     ``q`` is (S, u), folded onto the u class columns of ``log_lam``, so d is passed."""
     best, where = np.full(len(q), np.inf), np.zeros(len(q), dtype=int)
-    for lo, nus in _pair_chunks(log_lam, pair_i, pair_j, max(len(q), q.shape[1])):
+    for lo, nus in _pair_chunks(log_lam, pair_i, pair_j, len(q)):
         vals = q @ nus.T
         k = vals.argmin(axis=1)
         low = vals[np.arange(len(q)), k]
         where, best = np.where(low < best, lo + k, where), np.minimum(low, best)
+        del nus, vals  # before the next chunk is made
     return best + 1.0 / d, where
 
 
@@ -748,7 +752,7 @@ def find_p_divisibility_witness(traj: Trajectory, family: MubFamily,
         q = _overlap_form(family, psi, phi)
         c = int(np.argmin((nus * q).sum(axis=1)))
         vals, form = np.empty(len(pair_i)), q[c] @ fold
-        for lo, rows in _pair_chunks(log_lam, pair_i, pair_j, len(axes)):
+        for lo, rows in _pair_chunks(log_lam, pair_i, pair_j, 1):  # one score per pair
             vals[lo:lo + len(rows)] = rows @ form
             del rows  # before the next chunk is made
         k = int(np.flatnonzero(vals <= vals.min() + _rounding_band(nus[c]))[0])
@@ -771,82 +775,26 @@ def _trace_distances(traj: Trajectory, family: MubFamily, deltas: np.ndarray) ->
 
     ``deltas`` has shape (..., d, d), each traceless and Hermitian up to
     rounding; the result has shape (..., N+1).  Axis blocks below the
-    rounding residue of :func:`axis_blocks` count as zero.  With one axis a
-    left, ||X||_1 = lambda_a ||B_a||_1, read off the diagonal of B_a in basis
-    a.  At d <= 3, X has at most three nonzero eigenvalues, the roots of
-    x^3 - p x - c with p = Tr X^2 / 2 and c = Tr X^3 / 3, so
-    ||X||_1 = 4 sqrt(p/3) cos(arccos(r) / 3) with r = 3 sqrt(3) |c| / (2 p^(3/2));
-    c = 0 at d = 2.  The blocks are Hilbert-Schmidt orthogonal, so p is a
-    weighted sum of lambda_a^2, and c is a cubic form in lambda.  Both are
-    formed from lambda_a ||B_a||_F over its largest value at each time, taken
-    in log space, so neither lambda^2 nor p^(3/2) underflows while lambda is
-    a normal double.  Other orbits (d >= 5) are evolved and go through
-    ``eigvalsh``.  The operators are taken in stacks sized by ``_stacks`` for
-    the largest temporary per operator: the evolved orbit's (N+1) d^2 at
-    d >= 5, the cubic's (N+1) (d+1)^2 at d <= 3, and never less than the
-    (d+1) d^2 of its axis blocks.
+    rounding residue of :func:`axis_blocks` count as zero, so an operator on
+    one axis has the orbit lambda_a B_a exactly.  The hermitized blocks of a
+    stack of operators meet the lambda rows in one GEMM, and each orbit's
+    trace norm is its absolute eigenvalue sum from ``eigvalsh``.  A stack
+    holds as many operators as ``_stacks`` allows for the orbit's (N+1) d^2
+    elements, or for the (d+1) d^2 of the axis blocks if that is more.
     """
     d, n = traj.dim, traj.steps + 1
     flat = np.reshape(deltas, (-1, d, d))
     dists = np.empty((len(flat), n))
-    log_lam = traj.log_lambdas
-    closed = d <= CLOSED_FORM_MAX_DIM
-    for part in _stacks(len(flat), max(n * ((d + 1) ** 2 if closed else d * d), (d + 1) * d * d)):
-        stack, out = flat[part], dists[part]
-        blocks = axis_blocks(family, stack)
+    for part in _stacks(len(flat), max(n, d + 1) * d * d):
+        blocks = axis_blocks(family, flat[part])
         norms = np.linalg.norm(blocks, axis=(-2, -1))
         # each row's 2-norm as np.linalg.norm takes a vector's: the square root of one dot product
         size = np.sqrt((norms[:, None, :] @ norms[:, :, None])[:, 0, 0])
-        live = norms > BLP_ROUNDING_FLOOR * np.finfo(float).eps * d * size[:, None]
-        count = live.sum(axis=1)
-        one = np.flatnonzero(count <= 1)
-        if one.size:  # X = lambda_a B_a (or 0), and B_a is diagonal in basis a
-            axis = live[one].argmax(axis=1)
-            vecs = family.bases[axis]
-            diag = np.einsum("pli,pij,plj->pl", vecs.conj(), stack[one], vecs).real
-            trace = np.trace(stack[one], axis1=-2, axis2=-1).real / d
-            scale = np.where(count[one] == 1, np.abs(diag - trace[:, None]).sum(axis=1), 0.0)
-            out[one] = scale[:, None] * traj.lambdas[axis]
-        rest = np.flatnonzero(count > 1)
-        if closed:
-            codes = live[rest] @ (1 << np.arange(d + 1))  # the same live axes share a form
-            for code in dict.fromkeys(codes.tolist()):
-                group = rest[codes == code]
-                axes = np.flatnonzero(live[group[0]])
-                out[group] = _cubic_distances(log_lam[axes], blocks[group][:, axes],
-                                              norms[group][:, axes])
-        elif rest.size:  # an antipodal pair alone in its stack leaves none to evolve
-            orbit = spectral_apply(family, traj.lambdas.T, stack[rest])
-            orbit = 0.5 * (orbit + np.conj(np.swapaxes(orbit, -1, -2)))
-            out[rest] = np.abs(np.linalg.eigvalsh(orbit)).sum(axis=-1)
+        blocks[norms <= BLP_ROUNDING_FLOOR * np.finfo(float).eps * d * size[:, None]] = 0.0
+        blocks = 0.5 * (blocks + np.conj(np.swapaxes(blocks, -1, -2)))
+        orbit = (traj.lambdas.T @ blocks.reshape(-1, d + 1, d * d)).reshape(-1, n, d, d)
+        dists[part] = np.abs(np.linalg.eigvalsh(orbit)).sum(axis=-1)
     return dists.reshape(np.shape(deltas)[:-2] + (n,))
-
-
-def _cubic_distances(log_lam: np.ndarray, blocks: np.ndarray, norms: np.ndarray) -> np.ndarray:
-    """The d <= 3 closed form for a stack of orbits on the same k live axes:
-    ``log_lam`` (k, N+1) of those axes, their ``blocks`` (S, k, d, d) and
-    ``norms`` (S, k).  Returns (S, N+1).
-
-    Each orbit's arrays are laid out as one orbit's would be on its own (time
-    the fastest axis of y, ``outer`` row-major, ``cube`` a strided real view),
-    so every sum runs in the same order and the result is the same bit for
-    bit however the orbits are stacked.
-    """
-    log_w = log_lam + np.log(norms)[:, :, None]  # (S, k, N+1)
-    top = log_w.max(axis=1)
-    y = np.exp(log_w - top[:, None])  # largest entry 1 per time
-    p = 0.5 * (y * y).sum(axis=1)
-    dists = np.exp(top) * 2.0 * np.sqrt(p)  # ||X||_1 when c = 0
-    if blocks.shape[-1] == 3:
-        k = len(log_lam)
-        unit = blocks / norms[:, :, None, None]
-        cube = np.einsum("saij,sbjk,scki->sabc", unit, unit, unit).real  # Re Tr(B_a B_b B_c)
-        y = np.swapaxes(y, 1, 2)  # (S, N+1, k)
-        outer = (y[..., :, None] * y[..., None, :]).reshape(len(y), y.shape[1], -1)
-        c = np.einsum("sta,sta->st", outer @ cube.reshape(len(y), -1, k), y) / 3.0
-        r = np.minimum(1.0, 3.0 * math.sqrt(3.0) * np.abs(c) / (2.0 * p ** 1.5))
-        dists *= 2.0 / math.sqrt(3.0) * np.cos(np.arccos(r) / 3.0)
-    return dists
 
 
 def check_blp(traj: Trajectory, family: MubFamily, pairs=None,
@@ -857,9 +805,10 @@ def check_blp(traj: Trajectory, family: MubFamily, pairs=None,
     of all d+1 bases, whose trace distance is exactly 2 lambda_a(t): back-flow
     on axis a is lambda_a rising, read off the trajectory with no operator
     evolved.  ``pairs`` may instead be a count (the antipodal pairs of the first
-    that many bases, then seeded random density-matrix pairs) or an explicit
-    list of (rho1, rho2) tuples of d x d operators of equal trace; their
-    distances come from :func:`_trace_distances`, as one (pairs, N+1) table.
+    min(count, d+1) bases, read off the same way, so d+1 is the default; then
+    seeded random density-matrix pairs) or an explicit list of (rho1, rho2)
+    tuples of d x d operators of equal trace.  The distances of random and
+    explicit pairs come from :func:`_trace_distances`.
     Returns the largest relative increase found between consecutive grid
     times, or None; among rises within ``TIE_ULPS`` ulps of the largest, the
     earliest pair, then the earliest step, is reported.  A rise counts only
@@ -877,10 +826,11 @@ def check_blp(traj: Trajectory, family: MubFamily, pairs=None,
         # one antipodal pair per basis, then random mixed pairs (rho1, rho2 alternating)
         b = family.bases[:count, :2]  # vectors 0 and 1 of the first bases
         projs = b[..., :, None] * b[..., None, :].conj()
-        deltas = projs[:, 0] - projs[:, 1]
+        deltas, dists = projs[:, 0] - projs[:, 1], 2.0 * traj.lambdas[:len(b)]
         if count > len(b):
             rhos = random_density_matrix(d, np.random.default_rng(seed), 2 * (count - len(b)))
             deltas = np.concatenate((deltas, rhos[0::2] - rhos[1::2]))
+            dists = np.concatenate((dists, _trace_distances(traj, family, deltas[len(b):])))
     else:
         try:
             pairs = [(rho1, rho2) for rho1, rho2 in pairs]
@@ -892,7 +842,7 @@ def check_blp(traj: Trajectory, family: MubFamily, pairs=None,
         deltas = np.array([rho1 - rho2 for rho1, rho2 in states], dtype=complex).reshape(-1, d, d)
         if np.any(np.abs(np.trace(deltas, axis1=1, axis2=2)) > TOL_CONDITION):
             raise InvalidInputError("the two states of a BLP pair must have equal traces")
-    dists = 2.0 * traj.lambdas if pairs is None else _trace_distances(traj, family, deltas)
+        dists = _trace_distances(traj, family, deltas)
     rel = np.diff(dists, axis=1)
     above = rel > BLP_ROUNDING_FLOOR * np.finfo(float).eps * d * dists[:, :1]
     # in place: the table is not read again

@@ -665,6 +665,20 @@ class TestBlp:
             assert np.array_equal(w.operator, ref.operator)
             assert abs(w.magnitude - ref.magnitude) <= 4 * np.finfo(float).eps * (1 + w.magnitude)
 
+    @pytest.mark.parametrize("d", [2, 3, 5, 7, 13])
+    def test_default_is_the_first_d_plus_1_pairs_bit_for_bit(self, d):
+        # a count reads its antipodal distances off as 2 lambda_a, as the default does
+        family = mub_family(d)
+        found = 0
+        for seed in (1, 2, 3, 5):
+            traj = _tanh_trajectory(d, seed=seed, steps=120)
+            w, ref = check_blp(traj, family), check_blp(traj, family, pairs=d + 1)
+            assert (w is None) == (ref is None)
+            if w is not None:
+                found += 1
+                assert w.to_json_dict() == ref.to_json_dict()
+        assert found
+
     def test_tied_semigroup_rises_report_the_earliest(self, family3):
         # in a semigroup every step scales lambda_1 by the same factor, so the rises tie
         rates = preset_rates("semigroup", constants=(2.0, -0.05, -0.05, -0.05))
@@ -748,9 +762,12 @@ class TestClosedFormTraceDistance:
     @pytest.mark.parametrize("d,constants,t_max", [
         (2, (20.0, 21.0, 22.0), 11.0),
         (3, (15.0, 16.0, 17.0, 18.0), 10.0),
+        (5, (12.0, 13.0, 14.0, 15.0, 16.0, 17.0), 8.0),
+        (7, (10.0, 11.0, 12.0, 13.0, 14.0, 15.0, 16.0, 17.0), 7.0),
     ])
     def test_lambda_down_to_1e_200_has_no_spurious_rise(self, d, constants, t_max):
-        # lambda^2 and p^(3/2) underflow to 0 long before lambda does
+        # lambda^2 underflows to 0 long before lambda does, and a trace part evolved
+        # beside the orbit would leave a rounding floor of ~2e-16 under the distances
         family = mub_family(d)
         traj = build_trajectory(preset_rates("semigroup", constants=constants),
                                 t_max=t_max, steps=400)

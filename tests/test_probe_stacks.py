@@ -5,7 +5,6 @@ distance table, witness and note must equal theirs bit for bit, whatever the
 stack size, and the stacks must keep memory near the per-operator peak.
 """
 
-import math
 import tracemalloc
 
 import numpy as np
@@ -30,33 +29,17 @@ from paulidyn.ratefn import preset_rates, rate_set
 
 
 def reference_trace_distances(traj, family, delta):
-    """One pair's ||X(t)||_1, computed on its own (the per-pair form)."""
+    """One pair's ||X(t)||_1, computed on its own: the absolute eigenvalue sums of its
+    orbit, built from its hermitized axis blocks with those below the rounding residue
+    dropped (the per-pair form)."""
     d = traj.dim
     blocks = axis_blocks(family, delta)
     norms = np.linalg.norm(blocks, axis=(-2, -1))
     residue = BLP_ROUNDING_FLOOR * np.finfo(float).eps * d * np.linalg.norm(norms)
-    live = np.flatnonzero(norms > residue)
-    if live.size <= 1:
-        vecs = family.bases[live]
-        diag = np.einsum("kli,ij,klj->kl", vecs.conj(), delta, vecs).real
-        return np.abs(diag - np.trace(delta).real / d).sum(axis=1) @ traj.lambdas[live]
-    if d > 3:
-        orbit = evolve_operator(traj, family, delta)
-        orbit = 0.5 * (orbit + np.conj(np.swapaxes(orbit, -1, -2)))
-        return np.abs(np.linalg.eigvalsh(orbit)).sum(axis=1)
-    log_w = traj.log_lambdas[live].T + np.log(norms[live])
-    top = log_w.max(axis=1)
-    y = np.exp(log_w - top[:, None])
-    p = 0.5 * (y * y).sum(axis=1)
-    dists = np.exp(top) * 2.0 * np.sqrt(p)
-    if d == 3:
-        unit = blocks[live] / norms[live, None, None]
-        cube = np.einsum("aij,bjk,cki->abc", unit, unit, unit).real
-        outer = (y[:, :, None] * y[:, None, :]).reshape(len(y), -1)
-        c = np.einsum("ta,ta->t", outer @ cube.reshape(-1, live.size), y) / 3.0
-        r = np.minimum(1.0, 3.0 * math.sqrt(3.0) * np.abs(c) / (2.0 * p ** 1.5))
-        dists *= 2.0 / math.sqrt(3.0) * np.cos(np.arccos(r) / 3.0)
-    return dists
+    blocks[norms <= residue] = 0.0
+    blocks = 0.5 * (blocks + np.conj(np.swapaxes(blocks, -1, -2)))
+    orbit = np.tensordot(traj.lambdas.T, blocks, axes=1)
+    return np.abs(np.linalg.eigvalsh(orbit)).sum(axis=1)
 
 
 def reference_blp(traj, deltas, table):
@@ -150,7 +133,9 @@ class TestStackedBlp:
         projs = b[..., :, None] * b[..., None, :].conj()
         rhos = random_density_matrix(d, np.random.default_rng(seed), 2 * (20 - d - 1))
         deltas = np.concatenate((projs[:, 0] - projs[:, 1], rhos[0::2] - rhos[1::2]))
-        ref = np.array([reference_trace_distances(traj, family, delta) for delta in deltas])
+        # the antipodal distances are read off as 2 lambda_a
+        ref = np.concatenate((2.0 * traj.lambdas, [reference_trace_distances(traj, family, delta)
+                                                   for delta in deltas[d + 1:]]))
         assert witness_json(check_blp(traj, family, 20, seed)) == \
             witness_json(reference_blp(traj, deltas, ref))
 
@@ -172,14 +157,13 @@ class TestStackedBlp:
     @pytest.mark.parametrize("items", [1, 2, 3])
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_stacks_split_at_the_budget_boundary(self, d, items, spare, monkeypatch):
-        # an all-axis orbit's largest temporary: (N+1) k^2 elements for k = d+1 live axes
-        # at d <= 3 (outer at d = 3), the evolved orbit's (N+1) d^2 at d = 5
+        # an orbit's largest temporary: its (N+1) d^2 elements
         family = mub_family(d)
         traj = tanh_trajectory(d, seed=3, steps=120)
         pairs = probe_pairs(family, seed=3)
         deltas = pair_deltas(pairs)
         ref = np.array([reference_trace_distances(traj, family, delta) for delta in deltas])
-        item = 121 * (d * d if d > 3 else (d + 1) ** 2)
+        item = 121 * d * d
         monkeypatch.setattr(dynamics, "_STACK_ELEMENTS", items * item + spare)
         per_stack = max(1, items - (spare < 0))
         assert {s.stop - s.start for s in _stacks(5 * per_stack, item)} == {per_stack}

@@ -6,14 +6,14 @@ sets at d in {2, 3, 5, 7}; eternal-general and avg-decoherence at d in
 {11, 13}), avg-decoherence at d=31 (the widest trajectory.csv, with tied and
 constant columns), eternal-general at d=31 (the widest pure-state see-saw), a
 few d=2 tanh rate sets, one d=3 and one d=5 tanh set with a BLP witness, each
-also with ``--blp-pairs=20`` (the antipodal pairs, then random state pairs; at
-d=3 the witness comes from a random pair), the first and third d=2 tanh
-sets and eternal-general at d=13 with ``--blp-pairs=20`` too, eternal-general at
-d=3 and d=5 with ``--attempts=0`` (route 1 alone) and with ``--refine-iters=0``,
-the d=5 tanh set with ``--blp-pairs=0``, a d=23 semigroup whose only rising eigenvalue is
-lambda_24 (``semigroup-axis24-d23``: a BLP witness on the last axis, which a
-probe of the first 20 bases misses), the d=3 tanh set on a 10^4-step grid
-(every CSV column distinct), 10^4-step eternal-general (d=3) and
+also with ``--blp-pairs=20`` (the d+1 antipodal pairs, then random state pairs;
+at d=3 the witness comes from a random pair), the first and third d=2 tanh sets
+and eternal-general at d=13 with ``--blp-pairs=20`` too, eternal-general at d=3
+and d=5 with ``--attempts=0`` (route 1 alone) and with ``--refine-iters=0``,
+the d=5 tanh set with ``--blp-pairs=0``, a d=23 semigroup whose only rising
+eigenvalue is lambda_24 (``semigroup-axis24-d23``: a BLP witness on the last
+axis, which a probe of the first 20 bases misses), the d=3 tanh set on a
+10^4-step grid (every CSV column distinct), 10^4-step eternal-general (d=3) and
 avg-decoherence (d=7) grids, avg-decoherence's d=5 rates with the unit rates
 written five ways (``1``, ``1.0``, ``2-1``, ...) and with one of them one ulp
 above 1, one d=3 rate with a 0.02-wide dip (a non-positive intermediate map
@@ -108,7 +108,7 @@ TANH_SETS = (
 TANH_RANDOM_PAIR_D3 = ((-0.2, -0.2, 1.6, 3.9), (1.1, 0.1, 0.9, 2.7), (1.0, 0.2, 0.6, 0.2),
                        (-0.2, -0.9, 1.9, 3.7))
 
-# a d=5 set with a BLP witness; with --blp-pairs=20 its 14 random pairs go through eigvalsh
+# a d=5 set with a BLP witness; with --blp-pairs=20 it also has 14 random pairs
 TANH_BLP_D5 = ((-0.2682, -0.9702, 1.1009, 2.913), (1.0535, 0.2511, 1.8591, 3.4588),
                (-0.2073, 0.7323, 1.5423, 1.1115), (0.8347, 0.7304, 0.809, 2.1082),
                (-0.4713, 0.1665, 0.7044, 3.0599), (-0.2875, -0.3745, 0.3246, 0.1302))
@@ -148,7 +148,8 @@ def cases():
         yield f"tanh{k}-d2", ["--d=2"] + tanh_argv(params)
     yield "tanh-random-pair-d3", ["--d=3"] + tanh_argv(TANH_RANDOM_PAIR_D3)
     yield "tanh-blp-d5", ["--d=5"] + tanh_argv(TANH_BLP_D5)
-    # the opt-in count: the antipodal pairs of the first 20 bases, then random pairs
+    # the opt-in count: the d+1 antipodal pairs, read off lambda as by default, then random
+    # pairs, whose distances go through eigvalsh
     yield ("tanh-random-pair-d3-blp-pairs20",
            ["--d=3", "--blp-pairs=20"] + tanh_argv(TANH_RANDOM_PAIR_D3))
     yield "tanh-blp-d5-blp-pairs20", ["--d=5", "--blp-pairs=20"] + tanh_argv(TANH_BLP_D5)
