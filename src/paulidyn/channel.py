@@ -103,15 +103,6 @@ def cp_margins(lam) -> tuple:
     return total + 1.0 / (d - 1), 1.0 + d * lam.min(axis=0) - total
 
 
-def _distinct_axes(rows: np.ndarray) -> tuple:
-    """The classes of bit-identical rows, as (first row of each class, class of each row),
-    classes in first-occurrence order: the axes whose (d+1, N+1) log eigenvalue rows are
-    equal, or the equal columns of a trajectory.csv block (0.0 and -0.0 stay apart)."""
-    first = {}
-    group = [first.setdefault(row.tobytes(), len(first)) for row in rows]
-    return [group.index(g) for g in range(len(first))], group
-
-
 @np.errstate(over="ignore", invalid="ignore")  # margins beyond the double range are not CP
 def cp_check_from_eigenvalues(lam, tol: float = CP_FLAG_TOL) -> CpCheck:
     lower, upper = (float(m) for m in cp_margins(lam))

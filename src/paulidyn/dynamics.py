@@ -38,7 +38,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .channel import _distinct_axes, _freeze, cp_margins
+from .channel import _freeze, cp_margins
 from .errors import (
     DimensionError,
     EvaluationError,
@@ -49,7 +49,7 @@ from .errors import (
 )
 from .linalg import (as_square_matrix, complex_pairs, hermitian_check, lowest_eigenpairs,
                      random_density_matrix, random_hermitian, random_pure_state, trace_norm)
-from .mub import (MubFamily, axis_blocks, class_sums, from_weyl_coefficients, mub_family,
+from .mub import (MubFamily, class_sums, class_table, from_weyl_coefficients, mub_family,
                   spectral_apply, weyl_coefficients)
 from .ratefn import RateSet, running_integral
 
@@ -62,7 +62,7 @@ TOL_WITNESS_NORM = 1e-9
 #: a BLP rise must also exceed this many ulps of d * (initial trace distance);
 #: the evolved distance carries rounding error of that size once it has decayed;
 #: an axis block of a BLP pair below this many ulps of d * ||delta||_F is the
-#: rounding residue of axis_blocks and counts as zero
+#: rounding residue of the Weyl-coefficient kernel and counts as zero
 BLP_ROUNDING_FLOOR = 64
 #: the witness search pairs at most this many grid times with each other
 SCREEN_GRID = 401
@@ -628,17 +628,6 @@ def _rounding_band(nus: np.ndarray) -> np.ndarray:
     return TIE_ULPS * np.finfo(float).eps * (1.0 + np.abs(nus).sum(axis=-1))
 
 
-def _class_eigenvalues(family: MubFamily, nus: np.ndarray) -> np.ndarray:
-    """(1, nu) expanded to every Weyl coefficient [k, l] by class: (C, d+1) -> (C, d, d)."""
-    return np.concatenate((np.ones((len(nus), 1)), nus), axis=1)[:, family.weyl_classes]
-
-
-def _class_response(eig: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """Phi_nu(psi psi^dag) per row: the Weyl coefficients of psi psi^dag scaled by the table
-    ``eig`` of :func:`_class_eigenvalues`.  (C, d, d), (C, d) -> (C, d, d)."""
-    return from_weyl_coefficients(eig * weyl_coefficients(psi[:, :, None] * psi[:, None, :].conj()))
-
-
 def _seesaw(family: MubFamily, nus: np.ndarray, psi: np.ndarray, phi: np.ndarray,
             steps: int) -> tuple:
     """Lower <phi|Phi_nu(psi psi^dag)|phi> per row by see-saw steps; returns (psi, phi).
@@ -653,11 +642,13 @@ def _seesaw(family: MubFamily, nus: np.ndarray, psi: np.ndarray, phi: np.ndarray
     ``eigh`` on the rows where it does not or whose warm vector is too far off for
     one solve.  So each half lowers the form to within m of what ``eigh`` gives.
     """
-    value, band, eig = np.inf, _rounding_band(nus), _class_eigenvalues(family, nus)
+    value, band = np.inf, _rounding_band(nus)
     warm = family.dim >= SEESAW_SOLVE_DIM
     for _ in range(steps):
-        phi = lowest_eigenpairs(_class_response(eig, psi), phi if warm else None)[1]
-        low, psi = lowest_eigenpairs(_class_response(eig, phi), psi if warm else None)
+        image = spectral_apply(family, nus, psi[:, :, None] * psi[:, None, :].conj())
+        phi = lowest_eigenpairs(image, phi if warm else None)[1]
+        image = spectral_apply(family, nus, phi[:, :, None] * phi[:, None, :].conj())
+        low, psi = lowest_eigenpairs(image, psi if warm else None)
         settled, value = np.all(low >= value - band), low
         if settled:
             break
@@ -774,19 +765,25 @@ def _trace_distances(traj: Trajectory, family: MubFamily, deltas: np.ndarray) ->
     """||X(t)||_1 at every grid time for each orbit X(t) = sum_a lambda_a(t) B_a(delta).
 
     ``deltas`` has shape (..., d, d), each traceless and Hermitian up to
-    rounding; the result has shape (..., N+1).  Axis blocks below the
-    rounding residue of :func:`axis_blocks` count as zero, so an operator on
-    one axis has the orbit lambda_a B_a exactly.  The hermitized blocks of a
-    stack of operators meet the lambda rows in one GEMM, and each orbit's
-    trace norm is its absolute eigenvalue sum from ``eigvalsh``.  A stack
-    holds as many operators as ``_stacks`` allows for the orbit's (N+1) d^2
-    elements, or for the (d+1) d^2 of the axis blocks if that is more.
+    rounding; the result has shape (..., N+1).  B_a(delta) keeps the class-a
+    Weyl coefficients of delta: unit row a of :func:`class_table` on the
+    coefficients with their trace entry zeroed.  Blocks below the rounding
+    residue count as zero, so an operator on one axis has the orbit
+    lambda_a B_a exactly.  As N+1 lambda rows meet each operator, its d+1
+    hermitized blocks are formed once and the orbit is one GEMM on them, not
+    N+1 inverse FFTs.  Each orbit's trace norm is its absolute eigenvalue sum
+    from ``eigvalsh``.  A stack holds as many operators as ``_stacks`` allows
+    for the orbit's (N+1) d^2 elements, or for the (d+1) d^2 of the axis
+    blocks if that is more.
     """
     d, n = traj.dim, traj.steps + 1
     flat = np.reshape(deltas, (-1, d, d))
     dists = np.empty((len(flat), n))
     for part in _stacks(len(flat), max(n, d + 1) * d * d):
-        blocks = axis_blocks(family, flat[part])
+        c = weyl_coefficients(flat[part])
+        c[:, 0, 0] = 0.0  # so block a keeps the class-a coefficients only
+        blocks = from_weyl_coefficients(class_table(family, np.eye(d + 1)) * c[:, None])
+        del c  # before the orbit is made
         norms = np.linalg.norm(blocks, axis=(-2, -1))
         # each row's 2-norm as np.linalg.norm takes a vector's: the square root of one dot product
         size = np.sqrt((norms[:, None, :] @ norms[:, :, None])[:, 0, 0])
@@ -988,6 +985,15 @@ def trajectory_csv_blocks(traj: Trajectory):
     yield ",".join(cols) + "\n"
     for start in range(0, len(traj.grid), _CSV_BLOCK_ROWS):
         yield _csv_block(traj, slice(start, start + _CSV_BLOCK_ROWS))
+
+
+def _distinct_axes(rows: np.ndarray) -> tuple:
+    """The classes of bit-identical rows, as (first row of each class, class of each row),
+    classes in first-occurrence order: the axes whose (d+1, N+1) log eigenvalue rows are
+    equal, or the equal columns of a trajectory.csv block (0.0 and -0.0 stay apart)."""
+    first = {}
+    group = [first.setdefault(row.tobytes(), len(first)) for row in rows]
+    return [group.index(g) for g in range(len(first))], group
 
 
 def _csv_block(traj: Trajectory, span: slice) -> str:

@@ -6,7 +6,9 @@ classes form a complete family of ``d + 1`` mutually unbiased bases.  Each
 basis carries a full-dephasing channel (projector pinching) and a mixing map
 built from the powers of one unitary with spectrum ``{omega**l}``.  Any map
 diagonal on the d+1 basis axes scales each Weyl coefficient of its input by
-the eigenvalue of its class (:func:`weyl_coefficients`, :func:`axis_blocks`).
+the eigenvalue of its class: :func:`spectral_apply` is that one rule, the
+table of :func:`class_table` times :func:`weyl_coefficients`, and every map
+here acts through it (a basis dephasing is the table of a unit row).
 """
 
 from __future__ import annotations
@@ -188,8 +190,7 @@ def unitary_powers(u: np.ndarray) -> list:
 
 def dephase_all(family: MubFamily, rho) -> np.ndarray:
     """Apply every basis dephasing at once; returns shape (d+1, d, d)."""
-    arr = as_square_matrix(rho, family.dim)
-    return axis_blocks(family, arr) + np.trace(arr) / family.dim * np.eye(family.dim)
+    return spectral_apply(family, np.eye(family.n_bases), as_square_matrix(rho, family.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -220,15 +221,11 @@ def from_weyl_coefficients(c: np.ndarray) -> np.ndarray:
     return x
 
 
-def axis_blocks(family: MubFamily, x: np.ndarray) -> np.ndarray:
-    """Components B_alpha(x) = dephase_alpha(x) - x0*I of x on the d+1 basis axes.
-
-    ``x`` has shape (..., d, d); the result has shape (..., d+1, d, d) and
-    x = x0*I + sum_alpha B_alpha(x) with x0 = Tr(x)/d.  B_alpha keeps the Weyl
-    coefficients of class alpha.  No validation: callers check their inputs.
-    """
-    masks = np.eye(family.n_bases + 1)[1:, family.weyl_classes]  # (d+1, d, d)
-    return from_weyl_coefficients(masks * weyl_coefficients(x)[..., None, :, :])
+def class_table(family: MubFamily, eig) -> np.ndarray:
+    """The axis eigenvalues ``eig`` (..., d+1) spread over the Weyl coefficients by class:
+    (..., d, d), entry [k, l] the eigenvalue of W_kl's class and 1 on W_00."""
+    eig = np.asarray(eig)
+    return np.concatenate((np.ones(eig.shape[:-1] + (1,)), eig), axis=-1)[..., family.weyl_classes]
 
 
 def class_sums(family: MubFamily, values: np.ndarray) -> np.ndarray:
@@ -237,22 +234,12 @@ def class_sums(family: MubFamily, values: np.ndarray) -> np.ndarray:
     return values.reshape(values.shape[:-2] + (-1,)) @ onehot
 
 
-def spectral_apply(family: MubFamily, eig: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The Pauli-diagonal map x -> x0*I + sum_alpha eig_alpha * B_alpha(x).
-
-    ``eig`` holds the d+1 axis eigenvalues, shape (d+1,) or (P, d+1);
-    ``x`` has shape (..., d, d).  The result has shape x-stack + eig-stack +
-    (d, d): one GEMM over the axes per operator.  No validation.
+def spectral_apply(family: MubFamily, eig, x: np.ndarray) -> np.ndarray:
+    """The Pauli-diagonal map with axis eigenvalues ``eig`` (..., d+1) on ``x`` (..., d, d):
+    each Weyl coefficient of x scaled by its entry of :func:`class_table`.  The leading
+    axes of the two broadcast, so P rows on one operator give (P, d, d).  No validation.
     """
-    d = family.dim
-    eig = np.asarray(eig)
-    blocks = axis_blocks(family, x)
-    stack = blocks.shape[:-3]
-    out = (eig @ blocks.reshape(stack + (d + 1, d * d))).reshape(stack + eig.shape[:-1] + (d, d))
-    x0 = np.trace(x, axis1=-2, axis2=-1) / d
-    r = np.arange(d)
-    out[..., r, r] += x0.reshape(stack + (1,) * (eig.ndim - 1) + (1,))
-    return out
+    return from_weyl_coefficients(class_table(family, eig) * weyl_coefficients(x))
 
 
 def cross_overlaps(family: MubFamily):

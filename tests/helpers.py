@@ -1,6 +1,6 @@
 """Helpers the tests share and the package does not use: entrywise matrix equality, a
-random unitary, and a printer of rate-expression trees (the generator of the parser's
-random-AST round-trip property)."""
+random unitary, the axis blocks of an operator by basis rotation, and a printer of
+rate-expression trees (the generator of the parser's random-AST round-trip property)."""
 
 import numpy as np
 
@@ -24,6 +24,20 @@ def random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     phases = np.diag(r).copy()
     phases /= np.abs(phases)
     return q * phases
+
+
+def rotation_axis_blocks(family, x):
+    """B_alpha(x) = dephase_alpha(x) - x0*I, x0 = Tr(x)/d, for x of shape (..., d, d), by a
+    change into each basis, its diagonal, and the way back: (..., d+1, d, d).  The O(d^4)
+    form the Weyl-coefficient kernel replaced, kept as its reference."""
+    bases = family.bases
+    x0 = np.trace(x, axis1=-2, axis2=-1) / family.dim
+    rotated = bases.conj() @ x[..., None, :, :]  # rows <b_al| x
+    diag = (rotated * bases).sum(axis=-1)
+    blocks = (np.swapaxes(bases, -1, -2) * diag[..., None, :]) @ bases.conj()
+    r = np.arange(family.dim)
+    blocks[..., r, r] -= x0[..., None, None]
+    return blocks
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import paulidyn.dynamics as dynamics
-from paulidyn.channel import channel_from_eigenvalues, choi_matrix, cp_margins
+from paulidyn.channel import (channel_from_eigenvalues, choi_matrix, cp_margins,
+                              probabilities_from_eigenvalues)
 from paulidyn.dynamics import (
     BLP_ROUNDING_FLOOR,
     NOT_APPLICABLE,
@@ -22,8 +23,6 @@ from paulidyn.dynamics import (
     _CSV_BLOCK_ROWS,
     DivisibilityReport,
     Trajectory,
-    _class_eigenvalues,
-    _class_response,
     _overlap_form,
     _screen_pairs,
     _seesaw,
@@ -46,9 +45,10 @@ from paulidyn.dynamics import (
 from paulidyn.errors import (EvaluationError, GridResolutionError, InternalConsistencyError,
                              InvalidInputError, QuadratureError)
 from paulidyn.linalg import random_density_matrix, random_hermitian, random_pure_state, trace_norm
-from paulidyn.mub import axis_blocks, dephase_all, mub_family, spectral_apply
+from paulidyn.mub import dephase_all, mub_family, spectral_apply, unitary_mixing_map
 from paulidyn.ratefn import evaluate, preset_rates, rate_set
 from tests.conftest import ALPHA_TO_PAULI, PAULI
+from tests.helpers import rotation_axis_blocks
 
 
 def superop_matrix(family, coeffs):
@@ -215,11 +215,19 @@ class TestBuildTrajectory:
                 assert np.abs(traj.big_gammas[a] - np.array(exact)).max() <= tol
 
 
+def kraus_mixture(family, nus, x):
+    """The Pauli map with eigenvalues ``nus`` on x in Kraus form, p0 x + sum_a p_a/(d-1)
+    sum_k U_a^k x U_a^-k, apart from the Weyl-coefficient kernel."""
+    p, d = probabilities_from_eigenvalues(nus), family.dim
+    return p[0] * x + sum(p[a] / (d - 1) * unitary_mixing_map(family, a)(x)
+                          for a in range(1, d + 2))
+
+
 def generator_apply(rates, family, t, rho):
     """The time-local generator sum_a gamma_a(t) (dephase_a - id) on rho: axis a scaled by
     mu_a = gamma_a - sum(gamma), the identity part annihilated."""
     g = np.array([evaluate(r, t) for r in rates.rates])
-    return np.tensordot(g - g.sum(), axis_blocks(family, rho), axes=1)
+    return np.tensordot(g - g.sum(), rotation_axis_blocks(family, rho), axes=1)
 
 
 class TestGenerator:
@@ -726,7 +734,7 @@ class TestClosedFormTraceDistance:
     @staticmethod
     def orbit(traj, family, delta):
         """X(t) = sum_a lambda_a(t) B_a(delta), the image of delta without its trace part."""
-        return np.tensordot(traj.lambdas.T, axis_blocks(family, delta), axes=1)
+        return np.tensordot(traj.lambdas.T, rotation_axis_blocks(family, delta), axes=1)
 
     @staticmethod
     def assert_matches(traj, family, delta, orbit):
@@ -746,7 +754,7 @@ class TestClosedFormTraceDistance:
     @pytest.mark.parametrize("d", [2, 3, 5, 7, 11, 13])
     def test_antipodal_pairs_are_2_lambda(self, d):
         # the orbit of P_a0 - P_a1 is lambda_a (P_a0 - P_a1), plus the rounding residue of
-        # axis_blocks on the other axes, ~d ulps of the largest lambda
+        # the axis blocks on the other axes, ~d ulps of the largest lambda
         family = mub_family(d)
         traj = _tanh_trajectory(d, seed=d)
         eps = np.finfo(float).eps
@@ -1207,9 +1215,9 @@ class TestSeesawWitnessSearch:
         family = mub_family(d)
         nus = rng.uniform(-1.0, 2.0, (6, d + 1))
         psi, phi = random_pure_state(d, rng, 6), random_pure_state(d, rng, 6)
-        response = _class_response(_class_eigenvalues(family, nus), psi)
+        response = spectral_apply(family, nus, psi[:, :, None] * psi[:, None, :].conj())
         for c in range(6):
-            ref = spectral_apply(family, nus[c], np.outer(psi[c], psi[c].conj()))
+            ref = kraus_mixture(family, nus[c], np.outer(psi[c], psi[c].conj()))
             assert np.abs(response[c] - ref).max() <= 1e-15
         expectation = np.einsum("ci,cij,cj->c", phi.conj(), response, phi).real
         linear = 1.0 / d + (nus * _overlap_form(family, psi, phi)).sum(axis=1)
@@ -1223,11 +1231,11 @@ class TestSeesawWitnessSearch:
             rng = np.random.default_rng(seed)
             nus = rng.uniform(-1.0, 2.0, (6, d + 1))
             psi, phi = random_pure_state(d, rng, 6), random_pure_state(d, rng, 6)
-            response = _class_response(_class_eigenvalues(family, nus), psi)
+            response = spectral_apply(family, nus, psi[:, :, None] * psi[:, None, :].conj())
             expectation = np.einsum("ci,cij,cj->c", phi.conj(), response, phi).real
             linear = 1.0 / d + (nus * _overlap_form(family, psi, phi)).sum(axis=1)
             for c in range(6):
-                ref = spectral_apply(family, nus[c], np.outer(psi[c], psi[c].conj()))
+                ref = kraus_mixture(family, nus[c], np.outer(psi[c], psi[c].conj()))
                 tol = 4 * eps * d * max(1.0, np.linalg.norm(ref, 2))
                 assert np.abs(response[c] - ref).max() <= tol, (seed, c)
                 assert abs(linear[c] - expectation[c]) <= tol, (seed, c)
@@ -1331,7 +1339,7 @@ class TestPairScreen:
         assert found[0] == found[1] == found[2]
 
     def test_witness_search_memory_stays_bounded(self):
-        # per-chunk nu peaks near 3 MiB here; a kept table of the 80,024 screened pairs adds 9 MB
+        # per-chunk nu peaks at 1.92 MiB here; a kept table of the 80,024 screened pairs adds 9 MB
         family = mub_family(13)
         traj = build_trajectory(preset_rates("eternal-general", d=13), t_max=5.0, steps=400)
         tracemalloc.start()

@@ -9,10 +9,10 @@ from paulidyn.errors import (
 from paulidyn.channel import probabilities_from_eigenvalues
 from paulidyn.linalg import random_complex_matrix, random_density_matrix
 from paulidyn.mub import (
-    axis_blocks,
     class_sums,
     commuting_classes,
     decoherence_channel,
+    dephase_all,
     from_weyl_coefficients,
     is_prime,
     mub_family,
@@ -23,7 +23,7 @@ from paulidyn.mub import (
     weyl_coefficients,
 )
 from tests.conftest import ALPHA_TO_PAULI, PAULI
-from tests.helpers import matrices_close
+from tests.helpers import matrices_close, rotation_axis_blocks
 
 
 def test_is_prime():
@@ -312,7 +312,7 @@ class TestSpectralKernel:
         probs = [probabilities_from_eigenvalues(row) for row in eig]
         assert min(p.min() for p in probs) < 0.0
         mixing = [unitary_mixing_map(fam, a) for a in range(1, d + 2)]
-        out = spectral_apply(fam, eig, xs)
+        out = spectral_apply(fam, eig, xs[:, None])
         assert out.shape == (4, 5, d, d)
         for s, x in enumerate(xs):
             for k, p in enumerate(probs):
@@ -324,24 +324,11 @@ class TestSpectralKernel:
     def test_axis_blocks_reconstruct(self, d, rng):
         fam = mub_family(d)
         xs = np.stack([random_complex_matrix(d, rng) for _ in range(3)])
-        blocks = axis_blocks(fam, xs)
-        assert blocks.shape == (3, d + 1, d, d)
         x0 = np.trace(xs, axis1=-2, axis2=-1) / d
+        blocks = np.stack([dephase_all(fam, x) for x in xs]) - x0[:, None, None, None] * np.eye(d)
+        assert blocks.shape == (3, d + 1, d, d)
         rebuilt = x0[:, None, None] * np.eye(d) + blocks.sum(axis=1)
         assert np.abs(rebuilt - xs).max() <= 1e-12
-
-
-def rotation_axis_blocks(family, x):
-    """B_alpha(x) by a change into each basis, its diagonal, and the way back: the
-    O(d^4) form the Weyl-coefficient kernel replaced, kept as its reference."""
-    bases = family.bases
-    x0 = np.trace(x, axis1=-2, axis2=-1) / family.dim
-    rotated = bases.conj() @ x[..., None, :, :]  # rows <b_al| x
-    diag = (rotated * bases).sum(axis=-1)
-    blocks = (np.swapaxes(bases, -1, -2) * diag[..., None, :]) @ bases.conj()
-    r = np.arange(family.dim)
-    blocks[..., r, r] -= x0[..., None, None]
-    return blocks
 
 
 def orbit_classes(d):
@@ -375,10 +362,12 @@ class TestWeylCoefficientKernel:
         xs = np.stack([random_complex_matrix(d, rng) for _ in range(3)]
                       + [random_density_matrix(d, rng)])
         ref = rotation_axis_blocks(fam, xs)
-        blocks = axis_blocks(fam, xs)
+        x0 = np.trace(xs, axis1=-2, axis2=-1) / d
+        dephased = spectral_apply(fam, np.eye(d + 1), xs[:, None])
+        blocks = dephased - x0[:, None, None, None] * np.eye(d)
         assert np.abs(blocks - ref).max() <= 1e-14 * d * np.abs(xs).max()
-        # a stack gives each operator's blocks bit for bit
-        assert all(axis_blocks(fam, x).tobytes() == b.tobytes() for x, b in zip(xs, blocks))
+        # a stack gives each operator's dephasings bit for bit
+        assert all(dephase_all(fam, x).tobytes() == b.tobytes() for x, b in zip(xs, dephased))
 
     @pytest.mark.parametrize("d", [2, 3, 5, 13])
     def test_block_norms_are_class_sums(self, d, rng):

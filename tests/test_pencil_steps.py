@@ -106,6 +106,44 @@ def test_avg_decoherence_loses_the_certificate_at_t_p(d, t_max, steps):
     assert not _steps_pencil_positive(upto(k + 1), family)
 
 
+def _d3_closed_form(g):
+    """((S - sqrt(sum g^2 - 2 e2 / 3)) / 2, S, e2), with S = sum g and e2 = sum_(a<b) g_a g_b.
+    The radicand is taken as sum_(a<b) (g_a - g_b)^2 / 3, its value without the cancellation
+    (whose rounding the square root would raise to ~1e-8 at equal g)."""
+    total = g.sum()
+    e2 = (total ** 2 - (g ** 2).sum()) / 2
+    spread = sum((g[a] - g[b]) ** 2 for a in range(4) for b in range(a + 1, 4)) / 3
+    return (total - math.sqrt(spread)) / 2, total, e2
+
+
+@given(g=st.lists(st.floats(-10.0, 10.0, allow_subnormal=False), min_size=4, max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_d3_pencil_minimum_has_a_closed_form(g):
+    # S^2 - (sum g^2 - 2 e2 / 3) = 8 e2 / 3, so the minimum is >= 0 iff S >= 0 and e2 >= 0
+    g = np.array(g)
+    closed, _, _ = _d3_closed_form(g)
+    low = _block_minimum(_sym_pencil_blocks(mub_family(3)), g)
+    assert abs(low - closed) <= 1e-12 * (1.0 + np.abs(g).sum())
+
+
+def test_d3_pencil_sign_is_s_and_e2_nonnegative():
+    blocks, rng = _sym_pencil_blocks(mub_family(3)), np.random.default_rng(7)
+    for g in rng.normal(0.5, 1.0, (2000, 4)):
+        _, total, e2 = _d3_closed_form(g)
+        assert (_block_minimum(blocks, g) >= 0.0) == (total >= 0.0 and e2 >= 0.0)
+
+
+@pytest.mark.parametrize("t_max, steps, certified", [(0.5025, 2010, True),
+                                                     (0.50275, 2011, False)])
+def test_eternal_general_d3_loses_the_certificate_at_t_p(t_max, steps, certified):
+    # the minimum of Q_1 + Q_2 at d = 3 is (3 - sqrt 3)/6, so t_P = artanh(2 sqrt 3 - 3)
+    # = 0.50252627; both grids have dt = 1/4000 and end on either side of it
+    t_p = math.atanh(2 * math.sqrt(3) - 3)
+    assert t_max < t_p if certified else t_max > t_p
+    traj = build_trajectory(preset_rates("eternal-general", d=3), t_max=t_max, steps=steps)
+    assert _steps_pencil_positive(traj, mub_family(3)) is certified
+
+
 def test_an_overflowing_increment_is_not_certified():
     # increments that leave the double range scale to NaN, which eigvalsh may read as 0
     family = mub_family(3)

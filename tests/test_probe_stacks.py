@@ -24,16 +24,18 @@ from paulidyn.dynamics import (
     evolve_operator,
 )
 from paulidyn.linalg import random_density_matrix, random_hermitian
-from paulidyn.mub import axis_blocks, mub_family
+from paulidyn.mub import class_table, from_weyl_coefficients, mub_family, weyl_coefficients
 from paulidyn.ratefn import preset_rates, rate_set
 
 
 def reference_trace_distances(traj, family, delta):
     """One pair's ||X(t)||_1, computed on its own: the absolute eigenvalue sums of its
     orbit, built from its hermitized axis blocks with those below the rounding residue
-    dropped (the per-pair form)."""
+    dropped (the per-pair form); block a keeps the class-a Weyl coefficients of delta."""
     d = traj.dim
-    blocks = axis_blocks(family, delta)
+    c = weyl_coefficients(delta)
+    c[0, 0] = 0.0
+    blocks = from_weyl_coefficients(class_table(family, np.eye(d + 1)) * c)
     norms = np.linalg.norm(blocks, axis=(-2, -1))
     residue = BLP_ROUNDING_FLOOR * np.finfo(float).eps * d * np.linalg.norm(norms)
     blocks[norms <= residue] = 0.0

@@ -63,6 +63,12 @@ line per verdict and per witness, floats as ``repr``::
     <case> <witness> <kind> <s> <t> <magnitude>     (or ``<case> <witness> none``)
 
 so the same ``diff`` shows which decisions moved when the hashes differ.
+
+With ``--witnesses`` it prints one line per witness a ``report.json`` found::
+
+    <case> <witness> <kind> <s> <t> <magnitude> <sha256 of its state or operator JSON>
+
+so "the witness states are unchanged and only magnitudes moved" is one ``diff`` too.
 ``tests/artifact_fields.txt`` pins this output; ``tests/test_artifact_fields.py``
 regenerates and compares it.
 
@@ -234,6 +240,20 @@ def report_fields(path: Path) -> str:
     return "\n".join(lines)
 
 
+def report_witnesses(path: Path) -> str:
+    """One line per found witness of a report.json: kind, s, t, magnitude as repr, and the
+    sha256 of its ``state`` or ``operator`` JSON."""
+    report = json.loads(path.read_text())
+    lines = []
+    for name in ("trace_norm_witness", "blp_witness"):
+        w = report[name]
+        if w["found"]:
+            vector = json.dumps(w.get("state", w.get("operator"))).encode()
+            lines.append(f"{name} {w['kind']} {w['s']!r} {w['t']!r} {w['magnitude']!r} "
+                         f"{hashlib.sha256(vector).hexdigest()}")
+    return "\n".join(lines)
+
+
 def run_case(argv: list, outputs=("report.json", "trajectory.csv"), read=sha256,
              stdout: bool = True) -> str:
     """The ``read`` of each output file, then, with ``stdout``, the sha256 of stdout with
@@ -251,15 +271,18 @@ def run_case(argv: list, outputs=("report.json", "trajectory.csv"), read=sha256,
         return " ".join(digests)
 
 
-def run_matrix(fields: bool = False) -> None:
+def run_matrix(read=None) -> None:
+    """The hash lines, or with ``read`` (a report.json reader) its lines for every case."""
     print(f"paulidyn from {Path(paulidyn.__file__).parent}", file=sys.stderr)
     for name, argv in cases():
         for seed in SEEDS:
             argv_seed = ["dynamics", *argv, f"--seed={seed}"]
-            text = run_case(argv_seed, ("report.json",), report_fields, stdout=False) \
-                if fields else run_case(argv_seed)
-            print("\n".join(f"{name}-s{seed} {line}" for line in text.split("\n")), flush=True)
-    if fields:
+            text = run_case(argv_seed, ("report.json",), read, stdout=False) \
+                if read else run_case(argv_seed)
+            lines = [f"{name}-s{seed} {line}" for line in text.split("\n") if line]
+            if lines:
+                print("\n".join(lines), flush=True)
+    if read:
         return
     for d in MUB_DIMS:
         outputs = (f"mub_d{d}.json", f"mub_d{d}_overlaps.csv")
@@ -273,6 +296,9 @@ def run_matrix(fields: bool = False) -> None:
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--fields", action="store_true",
-                        help="print each report's verdicts and witnesses instead of the hashes")
-    run_matrix(parser.parse_args().fields)
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--fields", dest="read", action="store_const", const=report_fields,
+                      help="print each report's verdicts and witnesses instead of the hashes")
+    mode.add_argument("--witnesses", dest="read", action="store_const", const=report_witnesses,
+                      help="print each found witness with the digest of its state or operator")
+    run_matrix(parser.parse_args().read)
