@@ -104,10 +104,10 @@ def cp_margins(lam) -> tuple:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # margins beyond the double range are not CP
-def cp_check_from_eigenvalues(lam, tol: float = CP_FLAG_TOL) -> CpCheck:
+def cp_check_from_eigenvalues(lam) -> CpCheck:
     lower, upper = (float(m) for m in cp_margins(lam))
     margin = float(np.minimum(lower, upper))  # NaN if either is
-    return CpCheck(is_cp=bool(-tol <= margin < np.inf), margin=margin, lower_margin=lower,
+    return CpCheck(is_cp=bool(-CP_FLAG_TOL <= margin < np.inf), margin=margin, lower_margin=lower,
                    upper_margin=upper)
 
 
@@ -139,7 +139,7 @@ class GenPauliChannel:
 
     @property
     def is_cp(self) -> bool:
-        return cp_check_from_eigenvalues(self.lambdas, tol=CP_FLAG_TOL).is_cp
+        return cp_check_from_eigenvalues(self.lambdas).is_cp
 
     def __call__(self, rho) -> np.ndarray:
         return apply(self, rho)
@@ -182,13 +182,13 @@ def channel_from_eigenvalues(family: MubFamily, lam) -> GenPauliChannel:
     return GenPauliChannel(family, _freeze(p), _freeze(eig.copy()))
 
 
-def is_cp_fujiwara(ch: GenPauliChannel, tol: float = CP_FLAG_TOL) -> CpCheck:
+def is_cp_fujiwara(ch: GenPauliChannel) -> CpCheck:
     """Eigenvalue-inequality CP test with signed margins.
 
-    ``tol`` only cushions the boolean against float noise at the boundary;
-    the margins themselves are reported unshifted.
+    ``CP_FLAG_TOL`` only cushions the boolean against float noise at the
+    boundary; the margins themselves are reported unshifted.
     """
-    return cp_check_from_eigenvalues(ch.lambdas, tol=tol)
+    return cp_check_from_eigenvalues(ch.lambdas)
 
 
 def apply(ch: GenPauliChannel, rho) -> np.ndarray:
@@ -221,11 +221,11 @@ class ChoiMatrix:
     dim: int
     matrix: np.ndarray  # (d*d, d*d), Hermitian for Hermiticity-preserving maps
 
-    def min_eigenvalue(self, hermitian_tol: float = 1e-10) -> float:
-        return min_eigenvalue_hermitian(self.matrix, tol=hermitian_tol)
+    def min_eigenvalue(self) -> float:
+        return min_eigenvalue_hermitian(self.matrix)
 
-    def is_positive(self, tol: float = CHOI_PSD_TOL) -> bool:
-        return self.min_eigenvalue() >= -tol
+    def is_positive(self) -> bool:
+        return self.min_eigenvalue() >= -CHOI_PSD_TOL
 
 
 def choi_matrix(channel_like, dim: int | None = None) -> ChoiMatrix:

@@ -642,13 +642,13 @@ def _seesaw(family: MubFamily, nus: np.ndarray, psi: np.ndarray, phi: np.ndarray
     ``eigh`` on the rows where it does not or whose warm vector is too far off for
     one solve.  So each half lowers the form to within m of what ``eigh`` gives.
     """
-    value, band = np.inf, _rounding_band(nus)
+    value, band, table = np.inf, _rounding_band(nus), class_table(family, nus)
     warm = family.dim >= SEESAW_SOLVE_DIM
     for _ in range(steps):
-        image = spectral_apply(family, nus, psi[:, :, None] * psi[:, None, :].conj())
-        phi = lowest_eigenpairs(image, phi if warm else None)[1]
-        image = spectral_apply(family, nus, phi[:, :, None] * phi[:, None, :].conj())
-        low, psi = lowest_eigenpairs(image, psi if warm else None)
+        c = weyl_coefficients(psi[:, :, None] * psi[:, None, :].conj())
+        phi = lowest_eigenpairs(from_weyl_coefficients(table * c), phi if warm else None)[1]
+        c = weyl_coefficients(phi[:, :, None] * phi[:, None, :].conj())
+        low, psi = lowest_eigenpairs(from_weyl_coefficients(table * c), psi if warm else None)
         settled, value = np.all(low >= value - band), low
         if settled:
             break

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import DimensionError, InvalidInputError, NonHermitianError
 
-#: default tolerance when deciding whether a matrix counts as Hermitian
+#: tolerance when deciding whether a matrix counts as Hermitian
 HERMITIAN_TOL = 1e-10
 #: a warm-started lowest eigenvalue is certified to within this much of a matrix's mean
 #: absolute row sum (see :func:`lowest_eigenpairs`)
@@ -59,25 +59,25 @@ class HermitianCheckResult:
     max_deviation: float
 
 
-def hermitian_check(x, tol: float = HERMITIAN_TOL) -> HermitianCheckResult:
-    """Largest entrywise deviation of ``x`` from its conjugate transpose, against ``tol``."""
+def hermitian_check(x) -> HermitianCheckResult:
+    """Largest entrywise deviation of ``x`` from ``x^dag``, against ``HERMITIAN_TOL``."""
     arr = as_square_matrix(x)
     dev = float(np.abs(arr - arr.conj().T).max())
-    return HermitianCheckResult(is_hermitian=dev <= tol, max_deviation=dev)
+    return HermitianCheckResult(is_hermitian=dev <= HERMITIAN_TOL, max_deviation=dev)
 
 
-def min_eigenvalue_hermitian(x, tol: float = HERMITIAN_TOL) -> float:
+def min_eigenvalue_hermitian(x) -> float:
     """Smallest eigenvalue of a Hermitian matrix.
 
     Raises :class:`NonHermitianError` if ``x`` deviates from Hermiticity by
-    more than ``tol``; the computation symmetrizes first so the result does not
-    depend on sub-tolerance noise.
+    more than ``HERMITIAN_TOL``; the computation symmetrizes first so the result
+    does not depend on sub-tolerance noise.
     """
     arr = as_square_matrix(x)
-    check = hermitian_check(arr, tol)
+    check = hermitian_check(arr)
     if not check.is_hermitian:
-        raise NonHermitianError(f"matrix is not Hermitian "
-                                f"(max deviation {check.max_deviation:.3e} > {tol:.1e})")
+        raise NonHermitianError(f"matrix is not Hermitian (max deviation "
+                                f"{check.max_deviation:.3e} > {HERMITIAN_TOL:.1e})")
     return float(np.linalg.eigvalsh(0.5 * (arr + arr.conj().T))[0])
 
 

@@ -96,7 +96,6 @@ class MubFamily:
     dim: int
     bases: np.ndarray      # (d+1, d, d): [basis, vector, component]
     unitaries: np.ndarray  # (d+1, d, d)
-    omega: complex
     weyl_classes: np.ndarray  # (d, d) int
 
     @property
@@ -157,7 +156,7 @@ def mub_family(d: int) -> MubFamily:
     classes = np.where(r == 0, np.where(r[:, None] == 0, 0, 1), (r[:, None] * inverse) % d + 2)
     for arr in (bases, unitaries, classes):
         arr.setflags(write=False)
-    return MubFamily(dim=d, bases=bases, unitaries=unitaries, omega=omega, weyl_classes=classes)
+    return MubFamily(dim=d, bases=bases, unitaries=unitaries, weyl_classes=classes)
 
 
 # ---------------------------------------------------------------------------

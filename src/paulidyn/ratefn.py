@@ -25,7 +25,8 @@ operator and its earliest t.
 
 Bundled presets cover the standard experiment families: the eternally
 negative qubit rate set, its d-level generalization, the averaged-dephasing
-mixture of d semigroups, and plain constant-rate semigroups.
+mixture of d semigroups, and plain constant-rate semigroups.  Each preset is
+one row of ``_PRESETS``: its summary and its rate sources at dimension d.
 """
 
 from __future__ import annotations
@@ -400,54 +401,52 @@ def rate_set(dim: int, sources) -> RateSet:
     return RateSet(dim=dim, rates=exprs)
 
 
-def preset_rates(name: str, d: int | None = None, constants=None) -> RateSet:
-    """Named rate-set presets.
+#: Each preset's ``paulidyn presets list`` summary and its rate sources at dimension d, given
+#: the semigroup's finite constants (None for every other preset).
+_PRESETS = {
+    "eternal-qubit": (
+        "d=2; rates (1, 1, -tanh t): one rate forever negative, map stays legitimate",
+        lambda d, c: ["1", "1", "-tanh(t)"]),
+    "eternal-general": (
+        "requires --d; two rates 1+((d-2)/d)tanh t, d-1 rates -(2/d)tanh t",
+        lambda d, c: [f"1 + (({d}-2)/{d})*tanh(t)"] * 2 + [f"-(2/{d})*tanh(t)"] * (d - 1)),
+    "avg-decoherence": (
+        "requires --d; d unit rates plus -(d-1)(e^{dt}-1)/(e^{dt}+d-1)",
+        lambda d, c: ["1"] * d + [f"-({d}-1)*(exp({d}*t)-1)/(exp({d}*t)+{d}-1)"]),
+    "semigroup": (
+        "requires --c c1,...,c_{d+1}; constant rates (time-independent generator)",
+        lambda d, c: [repr(x) for x in c]),
+}
 
-    - ``eternal-qubit``: (1, 1, -tanh t) for d=2.
-    - ``eternal-general``: two rates 1 + ((d-2)/d) tanh t, the remaining d-1
-      rates -(2/d) tanh t.
-    - ``avg-decoherence``: d unit rates plus the negative companion rate
-      -(d-1)(e^{dt}-1)/(e^{dt}+d-1) of the uniform d-semigroup mixture.
-    - ``semigroup``: the given constants c_1..c_{d+1}, the only preset that takes any.
+PRESET_NAMES = tuple(_PRESETS)
+
+PRESET_SUMMARIES = {name: summary for name, (summary, _) in _PRESETS.items()}
+
+
+def preset_rates(name: str, d: int | None = None, constants=None) -> RateSet:
+    """The rate set of a named preset, a row of ``_PRESETS``, at dimension ``d``.
+
+    Only ``semigroup`` takes ``constants`` (c_1..c_{d+1}, which fix its d), and
+    ``eternal-qubit`` is d=2 alone; the other presets require ``d``.
     """
     if constants is not None and name != "semigroup":
         raise InvalidInputError(f"only the semigroup preset takes constants, not {name!r}")
+    if name not in PRESET_NAMES:  # a tuple: an unhashable name is unknown, not a TypeError
+        raise InvalidInputError(f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
     if name == "eternal-qubit":
         if d not in (None, 2):
             raise InvalidInputError("eternal-qubit is a d=2 preset; use eternal-general for d>2")
-        return rate_set(2, ["1", "1", "-tanh(t)"])
-    if name == "eternal-general":
-        if d is None:
-            raise InvalidInputError("eternal-general requires d")
-        d = _check_dim(d)
-        lead = f"1 + (({d}-2)/{d})*tanh(t)"
-        tail = f"-(2/{d})*tanh(t)"
-        return rate_set(d, [lead, lead] + [tail] * (d - 1))
-    if name == "avg-decoherence":
-        if d is None:
-            raise InvalidInputError("avg-decoherence requires d")
-        d = _check_dim(d)
-        last = f"-({d}-1)*(exp({d}*t)-1)/(exp({d}*t)+{d}-1)"
-        return rate_set(d, ["1"] * d + [last])
-    if name == "semigroup":
+        d = 2
+    elif name == "semigroup":
         if constants is None:
             raise InvalidInputError("semigroup requires the constants c_1..c_{d+1}")
-        values = [float(c) for c in constants]
-        if not all(math.isfinite(c) for c in values):
-            raise InvalidInputError(f"semigroup constants must be finite, got {values!r}")
-        dim = len(values) - 1
-        if d is not None and d != dim:
-            raise InvalidInputError(f"semigroup got {len(values)} constants but d={d}")
-        _check_dim(dim)
-        return rate_set(dim, [repr(c) for c in values])
-    raise InvalidInputError(f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
-
-
-PRESET_NAMES = ("eternal-qubit", "eternal-general", "avg-decoherence", "semigroup")
-
-PRESET_SUMMARIES = {
-    "eternal-qubit": "d=2; rates (1, 1, -tanh t): one rate forever negative, map stays legitimate",
-    "eternal-general": "requires --d; two rates 1+((d-2)/d)tanh t, d-1 rates -(2/d)tanh t",
-    "avg-decoherence": "requires --d; d unit rates plus -(d-1)(e^{dt}-1)/(e^{dt}+d-1)",
-    "semigroup": "requires --c c1,...,c_{d+1}; constant rates (time-independent generator)",
-}
+        constants = [float(c) for c in constants]
+        if not all(math.isfinite(c) for c in constants):
+            raise InvalidInputError(f"semigroup constants must be finite, got {constants!r}")
+        if d is not None and d != len(constants) - 1:
+            raise InvalidInputError(f"semigroup got {len(constants)} constants but d={d}")
+        d = len(constants) - 1
+    elif d is None:
+        raise InvalidInputError(f"{name} requires d")
+    d = _check_dim(d)
+    return rate_set(d, _PRESETS[name][1](d, constants))

@@ -83,6 +83,23 @@ def test_pencil_certifies_every_step_the_pair_sum_does(d, g):
     assert _block_minimum(_sym_pencil_blocks(mub_family(d)), g) >= low - TOL * 8
 
 
+@pytest.mark.parametrize("d", [3, 5, 7, 11])
+def test_both_certificates_bound_the_form_from_explicit_overlaps(d):
+    # Q_a from the basis vectors, not the Weyl kernel.  The MUBs are a 2-design, so
+    # sum_a Q_a = 1 on an orthonormal pair, and Q_a = <s|M_a|s>/2 <= 1/2 as M_a <= I
+    family, rng = mub_family(d), np.random.default_rng(0)
+    blocks = _sym_pencil_blocks(family)
+    for g in rng.normal(0.5, 1.0, (50, d + 1)):
+        pairs = np.linalg.qr(rng.normal(size=(400, d, 2)) + 1j * rng.normal(size=(400, d, 2)))[0]
+        amp = np.abs(np.einsum("alm,smk->skal", family.bases.conj(), pairs)) ** 2
+        q = (amp[:, 0] * amp[:, 1]).sum(axis=-1)
+        assert np.abs(q.sum(axis=1) - 1.0).max() <= 1e-12
+        assert q.max() <= 0.5 + 1e-12
+        tol, low = 1e-12 * (1.0 + np.abs(g).sum()), _block_minimum(blocks, g)
+        assert (q @ g).min() >= low / 2 - tol
+        assert low >= np.sort(g)[:2].sum() - tol
+
+
 @pytest.mark.parametrize("d, t_max, steps", [(3, 5.0, 400), (5, 1.0, 2000), (7, 1.0, 10_000)])
 def test_avg_decoherence_loses_the_certificate_at_t_p(d, t_max, steps):
     # avg-decoherence stops being P-divisible at t_P = ln(2(d-1)/(d-2))/d; a step is a

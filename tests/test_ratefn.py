@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -491,6 +492,14 @@ class TestPresets:
             preset_rates("semigroup")
         with pytest.raises(InvalidInputError):
             preset_rates("semigroup", d=3, constants=(1, 1, 1))
+
+    @pytest.mark.parametrize("name", [["x"], None, 3], ids=["list", "none", "int"])
+    def test_a_name_of_another_type_is_an_unknown_preset(self, name):
+        # an unhashable name too: it is looked up in a tuple, not a dict
+        available = "available: eternal-qubit, eternal-general, avg-decoherence, semigroup"
+        with pytest.raises(InvalidInputError, match=f"^unknown preset {re.escape(repr(name))}; "
+                                                    f"{available}$"):
+            preset_rates(name)
 
     @pytest.mark.parametrize("name", ["eternal-qubit", "eternal-general", "avg-decoherence"])
     def test_only_semigroup_takes_constants(self, name):
